@@ -1,11 +1,13 @@
 // E17 — lock-free hot path: mutex-serialized vs lock-free put/get scaling
 // for the two stores the PR 8 rewrite touched.
 //
-//   Part 1  LogStore puts. serialize_ops=true funnels every Put through a
-//           store-wide mutex (the pre-PR-8 shape); serialize_ops=false is
-//           the bump-allocated append log + lock-free index. Thread sweep
-//           1/2/4/8; p50/p95/p99 come from the obs storage.append_us
-//           histogram, scoped to each run by snapshot deltas.
+//   Part 1  LogStore puts. The "mutex" rows funnel every Put through
+//           tc::testing::SerializedLogStore's store-wide mutex (the shape
+//           before the lock-free append); the "lock-free" rows call the
+//           store directly: the bump-allocated append log + lock-free
+//           index. Thread sweep 1/2/4/8; p50/p95/p99 are caller-side put
+//           latencies (mutex wait included) in a local obs::Histogram per
+//           run.
 //
 //   Part 2  BlobStore gets under write load. lock_free_reads=false makes
 //           readers take the shard stripe lock (pre-PR-8); true gives them
@@ -41,6 +43,7 @@
 #include "tc/storage/log_store.h"
 #include "tc/storage/page_transform.h"
 #include "tc/sync/epoch.h"
+#include "tc/testing/serialized_log_store.h"
 
 using namespace tc;  // NOLINT — benchmark brevity.
 using cloud::BlobStore;
@@ -70,31 +73,32 @@ RunStats RunLogStorePuts(bool serialize, int threads, int puts_per_thread) {
   geo.block_count = 256;
   FlashDevice device(geo);
   storage::PlainPageTransform plain;
-  LogStoreOptions options;
-  options.serialize_ops = serialize;
-  auto opened = LogStore::Open(&device, &plain, options);
+  auto opened = LogStore::Open(&device, &plain, LogStoreOptions{});
   if (!opened.ok()) {
     std::printf("  OPEN FAILED: %s\n", opened.status().ToString().c_str());
     return {};
   }
   LogStore& store = **opened;
+  tc::testing::SerializedLogStore serialized(&store);
 
-  obs::Histogram& append_us =
-      obs::MetricRegistry::Global().GetHistogram("storage.append_us");
-  obs::HistogramSnapshot before = append_us.Snapshot();
-
+  obs::Histogram put_us;  // Local, obs bucket layout, shared by writers.
   obs::Stopwatch wall;
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([t, &store, puts_per_thread] {
+    workers.emplace_back([t, serialize, &store, &serialized, &put_us,
+                          puts_per_thread] {
       Rng rng(1700 + t);
       // Per-thread key space: the sweep measures structural contention on
       // the append path, not semantic write-write conflicts on one key.
       for (int i = 0; i < puts_per_thread; ++i) {
         std::string key =
             "t" + std::to_string(t) + "/k" + std::to_string(i % 64);
-        Status s = store.Put(key, rng.NextBytes(32 + rng.NextBelow(96)));
+        Bytes value = rng.NextBytes(32 + rng.NextBelow(96));
+        obs::Stopwatch op;
+        Status s = serialize ? serialized.Put(key, value)
+                             : store.Put(key, value);
+        put_us.RecordAlways(op.ElapsedUs());
         if (!s.ok()) {
           std::printf("  PUT FAILED: %s\n", s.ToString().c_str());
           return;
@@ -105,7 +109,7 @@ RunStats RunLogStorePuts(bool serialize, int threads, int puts_per_thread) {
   for (auto& w : workers) w.join();
   double seconds = static_cast<double>(wall.ElapsedUs()) / 1e6;
 
-  obs::HistogramSnapshot delta = append_us.Snapshot().Minus(before);
+  obs::HistogramSnapshot delta = put_us.Snapshot();
   RunStats stats;
   stats.ops_per_sec =
       seconds > 0 ? static_cast<double>(threads) * puts_per_thread / seconds
@@ -196,7 +200,7 @@ int main(int argc, char** argv) {
   // ---- Part 1 ----
   const int kPuts = quick ? 2000 : 20000;
   std::printf("\nLogStore put path (%d puts/thread, 32-128 B values; "
-              "p50/p95/p99 from storage.append_us, microseconds):\n",
+              "caller-side p50/p95/p99, microseconds):\n",
               kPuts);
   std::printf("  %-10s %7s %12s %8s %8s %8s\n", "mode", "threads", "puts/s",
               "p50", "p95", "p99");

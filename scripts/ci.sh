@@ -26,7 +26,11 @@
 #      its printed fault schedule (a chaos failure that cannot be
 #      reproduced from its schedule print is not debuggable);
 #   7. check no generated build*/ tree is tracked or staged;
-#   8. run the obs export validator (quick bench run + trace JSON checks).
+#   8. run the obs export validator (quick bench run + trace JSON checks);
+#   9. build and self-test the repository benchmark (perfbench/): it
+#      compiles against the cell, transport and provider APIs, so a src/
+#      API change that breaks it fails here. Skips, with the reason
+#      printed, only when python3 is absent.
 #
 # Each step's script documents its own skip conditions; this wrapper just
 # sequences them and stops at the first failure.
@@ -55,4 +59,10 @@ build/tests/chaos_test \
 }
 scripts/check_tree_clean.sh
 scripts/validate_obs_export.sh
+if command -v python3 > /dev/null 2>&1; then
+  echo "ci: benchmark self-test (perfbench build + output checks)"
+  python3 perfbench/test_bench.py
+else
+  echo "ci: python3 not available; SKIPPING the benchmark self-test" >&2
+fi
 echo "ci: all tier-1 checks passed"

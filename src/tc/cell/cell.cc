@@ -1,6 +1,7 @@
 #include "tc/cell/cell.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "tc/cloud/txn.h"
@@ -12,6 +13,11 @@
 
 namespace tc::cell {
 namespace {
+
+/// Short hex tag of a digest, for tokens bound to the bytes they carry.
+std::string ContentTag(const Bytes& digest) {
+  return HexEncode(Bytes(digest.begin(), digest.begin() + 8));
+}
 
 /// Serialized DocumentMeta (+ its keyword-index number).
 Bytes EncodeMeta(const DocumentMeta& meta, uint64_t number) {
@@ -246,25 +252,35 @@ Status TrustedCell::Init() {
   }
   TC_ASSIGN_OR_RETURN(db_, db::Database::Open(store_.get()));
 
+  // Every provider call crosses the channel: over the configured transport
+  // (e.g. a socket to a provider in another process), else in-process.
+  net::ChannelOptions channel_options = config_.channel;
+  if (channel_options.seed == net::ChannelOptions{}.seed) {
+    // Per-cell jitter stream by default, so a fleet of cells does not
+    // retry in lockstep.
+    BinaryWriter sw;
+    sw.PutString("tc.net-seed." + config_.cell_id);
+    Bytes digest = crypto::Sha256Hash(sw.Take());
+    uint64_t seed = 0;
+    for (int i = 0; i < 8; ++i) seed = (seed << 8) | digest[i];
+    channel_options.seed = seed;
+  }
+  if (!config_.resilient_sync) {
+    // An open circuit exists to put the cell in degraded local-only mode;
+    // without an outbox there is no such mode, so the breaker never
+    // latches and every call probes the provider and reports its own
+    // failure.
+    channel_options.breaker.failure_threshold =
+        std::numeric_limits<uint32_t>::max();
+  }
+  if (config_.transport != nullptr) {
+    channel_ = std::make_unique<net::ResilientChannel>(
+        config_.transport, config_.owner, channel_options);
+  } else {
+    channel_ = std::make_unique<net::ResilientChannel>(cloud_, config_.owner,
+                                                       channel_options);
+  }
   if (config_.resilient_sync) {
-    net::ChannelOptions channel_options = config_.channel;
-    if (channel_options.seed == net::ChannelOptions{}.seed) {
-      // Per-cell jitter stream by default, so a fleet of cells does not
-      // retry in lockstep.
-      BinaryWriter sw;
-      sw.PutString("tc.net-seed." + config_.cell_id);
-      Bytes digest = crypto::Sha256Hash(sw.Take());
-      uint64_t seed = 0;
-      for (int i = 0; i < 8; ++i) seed = (seed << 8) | digest[i];
-      channel_options.seed = seed;
-    }
-    if (config_.transport != nullptr) {
-      channel_ = std::make_unique<net::ResilientChannel>(
-          config_.transport, config_.owner, channel_options);
-    } else {
-      channel_ = std::make_unique<net::ResilientChannel>(cloud_, config_.owner,
-                                                         channel_options);
-    }
     outbox_ = std::make_unique<net::Outbox>(store_.get());
     TC_RETURN_IF_ERROR(outbox_->Load());
     if (!outbox_->empty()) {
@@ -332,11 +348,15 @@ void TrustedCell::ExitDegraded() {
 
 Status TrustedCell::PushBlob(const std::string& blob_id, uint64_t version,
                              const Bytes& sealed) {
-  if (!channel_) {
-    cloud_->PutBlob(blob_id, sealed);
-    return Status::OK();
-  }
   std::string token = PushToken(blob_id, version);
+  if (outbox_ == nullptr) {
+    // No outbox to defer to, so nothing re-sends this push once the call
+    // returns — but a failed push leaves its version unused and the next
+    // call reuses it. Bind the token to the bytes: a push that applied
+    // with its ack lost must not answer the next call's new content.
+    token += "|" + ContentTag(crypto::Sha256Hash(sealed));
+    return channel_->Put(blob_id, sealed, &token).status();
+  }
   // A queued older push of the same blob must never overtake this one:
   // supersede it in the outbox instead of racing it to the provider.
   if (outbox_->FindByBlobId(blob_id) == nullptr) {
@@ -368,12 +388,11 @@ Result<Bytes> TrustedCell::PullBlob(const std::string& blob_id) {
       return *queued_payload;
     }
   }
-  if (!channel_) return cloud_->GetBlob(blob_id);
   return channel_->Get(blob_id);
 }
 
 Status TrustedCell::CatchUp() {
-  if (!channel_ || outbox_->empty()) {
+  if (outbox_ == nullptr || outbox_->empty()) {
     ExitDegraded();
     return Status::OK();
   }
@@ -698,18 +717,20 @@ Status TrustedCell::UpdateDocumentAtomic(const std::string& doc_id,
   metrics_.seal_us.Record(seal_timer.ElapsedUs());
 
   // Stable across every retry AND the outbox fallback: the provider's
-  // txn-token table makes this logical update exactly-once.
+  // txn-token table makes this logical update exactly-once. Without an
+  // outbox a failed commit leaves the version unused, so the token is
+  // bound to the attempt's bytes (see PushBlob).
   const std::string token = PushToken("txn/" + meta.blob_id, meta.version);
 
   // Degraded fallback: journal the whole transaction and succeed locally.
   // Used both when the provider is unreachable and when a commit's fate is
   // unresolved — the drain re-sends under the same token, so the update
-  // applies at most once either way.
+  // applies at most once either way. Without resilient_sync there is no
+  // outbox: the transient failure that made the provider unreachable is
+  // the answer.
+  Status unreachable;
   auto defer = [&](uint64_t manifest_version, Bytes manifest_blob) -> Status {
-    if (outbox_ == nullptr) {
-      return Status::Unavailable(
-          "provider unreachable and no outbox configured");
-    }
+    if (outbox_ == nullptr) return unreachable;
     std::vector<net::OutboxTxnWrite> writes;
     writes.push_back({meta.blob_id, sealed});
     writes.push_back({ManifestBlobId(), std::move(manifest_blob)});
@@ -724,6 +745,9 @@ Status TrustedCell::UpdateDocumentAtomic(const std::string& doc_id,
     ++stats_.atomic_updates;
     return Status::OK();
   };
+  auto transient = [](const Status& status) {
+    return status.IsTransient() || status.IsDeadlineExceeded();
+  };
 
   Status last_abort = Status::Aborted("atomic update: contention");
   constexpr int kMaxAttempts = 8;
@@ -731,35 +755,27 @@ Status TrustedCell::UpdateDocumentAtomic(const std::string& doc_id,
     // Observe the provider under one snapshot. First-committer-wins
     // validation re-checks both versions at commit, so a stale observation
     // costs one abort, never correctness.
-    bool reachable = true;
     cloud::SnapshotDescriptor snap;
     uint64_t doc_base = 0;
     uint64_t manifest_base = 0;
-    if (channel_) {
-      auto got = channel_->GetSnapshot();
-      if (got.ok()) {
-        snap = std::move(*got);
-      } else if (got.status().IsTransient() ||
-                 got.status().IsDeadlineExceeded()) {
-        reachable = false;
-      } else {
-        return got.status();
-      }
+    auto got = channel_->GetSnapshot();
+    if (got.ok()) {
+      snap = std::move(*got);
+    } else if (transient(got.status())) {
+      unreachable = got.status();
     } else {
-      snap = cloud_->GetSnapshot();
+      return got.status();
     }
     auto observe = [&](const std::string& id, uint64_t* base) -> Status {
-      if (!reachable) return Status::OK();
-      auto read = channel_ ? channel_->GetAtSnapshot(id, snap)
-                           : cloud_->GetBlobAtSnapshot(id, snap);
+      if (!unreachable.ok()) return Status::OK();
+      auto read = channel_->GetAtSnapshot(id, snap);
       if (read.ok()) {
         *base = read->version;
         return Status::OK();
       }
       if (read.status().IsNotFound()) return Status::OK();
-      if (read.status().IsTransient() ||
-          read.status().IsDeadlineExceeded()) {
-        reachable = false;
+      if (transient(read.status())) {
+        unreachable = read.status();
         return Status::OK();
       }
       return read.status();
@@ -774,16 +790,20 @@ Status TrustedCell::UpdateDocumentAtomic(const std::string& doc_id,
     TC_ASSIGN_OR_RETURN(Bytes manifest_blob,
                         BuildManifestBlob(manifest_version, &meta));
 
-    if (!reachable) return defer(manifest_version, std::move(manifest_blob));
+    if (!unreachable.ok()) {
+      return defer(manifest_version, std::move(manifest_blob));
+    }
 
     cloud::TxnRequest req;
     req.token = token;
+    if (outbox_ == nullptr) {
+      req.token += "|" + ContentTag(crypto::Sha256Hash2(sealed, manifest_blob));
+    }
     req.snapshot = snap;
     req.writes.push_back({meta.blob_id, sealed, doc_base});
     req.writes.push_back(
         {ManifestBlobId(), std::move(manifest_blob), manifest_base});
-    cloud::TxnOutcome outcome =
-        channel_ ? channel_->CommitTxn(req) : cloud_->CommitTxn(req);
+    cloud::TxnOutcome outcome = channel_->CommitTxn(req);
     if (outcome.committed) {
       TC_RETURN_IF_ERROR(SaveMeta(meta, /*is_new=*/false));
       while (tee_->CounterValue("manifest-seen") < manifest_version) {
@@ -800,9 +820,9 @@ Status TrustedCell::UpdateDocumentAtomic(const std::string& doc_id,
       last_abort = outcome.status;
       continue;
     }
-    if (outcome.status.IsTransient() ||
-        outcome.status.IsDeadlineExceeded()) {
+    if (transient(outcome.status)) {
       // Unresolved fate; the token table resolves it at drain time.
+      unreachable = outcome.status;
       return defer(manifest_version, std::move(req.writes[1].data));
     }
     return outcome.status;

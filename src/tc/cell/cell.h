@@ -113,6 +113,10 @@ struct CellStats {
 ///   * an embedded database (tables, time series, keywords)     [tc::db]
 ///   * a UCON decision point, sticky policies and an audit log  [tc::policy]
 /// talking to peers exclusively through the untrusted cloud     [tc::cloud].
+/// Every blob, snapshot and commit call crosses one net::ResilientChannel
+/// (over Config::transport, else in-process) into the provider's edge, so
+/// an attached NetworkFaultInjector and overload gate see all of it; bus
+/// messages still call the provider directly.
 ///
 /// The public API is organized around the paper's five requirements:
 /// controlled collection (IngestReading / PublishAggregate), secure private
@@ -142,17 +146,20 @@ class TrustedCell {
     /// use the same value to share a personal space; a cell created with
     /// the wrong value needs guardian recovery (CompleteRecovery).
     std::string enrollment_secret;
-    /// Route cloud traffic through a ResilientChannel (retry/backoff,
-    /// circuit breaker) backed by a LogStore-journaled outbox: a push the
-    /// provider cannot take goes to the outbox and the cell keeps working
-    /// in degraded local-only mode until CatchUp drains it. Off by
-    /// default — the direct path has zero added cost.
+    /// Defer transient provider failures to a LogStore-journaled outbox:
+    /// a push the provider cannot take goes to the outbox and the cell
+    /// keeps working in degraded local-only mode until CatchUp drains it.
+    /// Off by default: a transient failure (once the channel's retries are
+    /// spent) is returned to the caller.
     bool resilient_sync = false;
+    /// Retry/backoff, deadline budget and circuit breaker of the channel
+    /// every provider call of the cell crosses. Without resilient_sync the
+    /// breaker never opens: there is no degraded mode for it to enter.
     net::ChannelOptions channel;
-    /// When set (with resilient_sync), the cell's channel crosses this
-    /// transport (e.g. an rpc::SocketTransport to a provider in another
-    /// process) instead of calling the CloudInfrastructure in-process.
-    /// Not owned; must outlive the cell.
+    /// When set, the cell's channel crosses this transport (e.g. an
+    /// rpc::SocketTransport to a provider in another process) instead of
+    /// calling the CloudInfrastructure in-process — with or without
+    /// resilient_sync. Not owned; must outlive the cell.
     net::CloudTransport* transport = nullptr;
   };
 
@@ -214,7 +221,8 @@ class TrustedCell {
   /// (bounded; the final abort is returned if contention never clears).
   /// With resilient_sync, an unreachable provider (or an unresolved
   /// commit) journals the whole transaction to the outbox — it drains
-  /// atomically in CatchUp under its original token.
+  /// atomically in CatchUp under its original token; without it, that
+  /// transient failure is returned.
   Status UpdateDocumentAtomic(const std::string& doc_id, const Bytes& content,
                               const policy::Policy* new_policy = nullptr);
 
@@ -260,8 +268,8 @@ class TrustedCell {
   /// the remainder and the cell stays degraded.
   Status CatchUp();
 
-  /// The resilient channel, when configured (tests and the fleet harness
-  /// inspect its stats and virtual clock).
+  /// The channel every blob/snapshot/commit call crosses (tests and the
+  /// benchmarks inspect its stats and virtual clock).
   net::ResilientChannel* net_channel() { return channel_.get(); }
 
   // ---- Secure sharing ----
@@ -429,10 +437,12 @@ class TrustedCell {
   /// Idempotency token of a (blob, version) push — stable across retries,
   /// restarts and outbox drains, so the provider applies it at most once.
   std::string PushToken(const std::string& blob_id, uint64_t version) const;
-  /// Pushes a sealed blob: direct PutBlob without resilient_sync,
-  /// otherwise through the channel with fallback to the outbox (returns
-  /// OK and marks the cell degraded when the provider is unreachable —
-  /// the write is locally durable and will drain).
+  /// Pushes a sealed blob through the channel under its stable token.
+  /// With resilient_sync, falls back to the outbox (returns OK and marks
+  /// the cell degraded when the provider is unreachable — the write is
+  /// locally durable and will drain). Without it, a transient failure is
+  /// returned and the token also carries a digest of `sealed`, since the
+  /// caller's next attempt reuses the version with new bytes.
   Status PushBlob(const std::string& blob_id, uint64_t version,
                   const Bytes& sealed);
   /// Fetches a blob, serving queued-but-unpushed blobs from the outbox
@@ -452,8 +462,8 @@ class TrustedCell {
   std::unique_ptr<storage::LogStore> store_;
   std::unique_ptr<db::Database> db_;
   std::unique_ptr<policy::AuditLog> audit_;
-  std::unique_ptr<net::ResilientChannel> channel_;  // resilient_sync only.
-  std::unique_ptr<net::Outbox> outbox_;             // resilient_sync only.
+  std::unique_ptr<net::ResilientChannel> channel_;
+  std::unique_ptr<net::Outbox> outbox_;  // resilient_sync only.
   bool degraded_ = false;
   obs::Stopwatch degraded_timer_;
   policy::DecisionPoint pdp_;

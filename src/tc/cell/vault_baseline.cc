@@ -7,8 +7,10 @@ Result<std::string> CentralizedVault::StoreDocument(
     const policy::Policy& policy) {
   std::string doc_id = "vault-" + std::to_string(next_id_++);
   std::string blob_id = "vault/" + owner + "/" + doc_id;
-  // Plaintext at the provider — that is the point of the baseline.
-  cloud_->PutBlob(blob_id, content);
+  // Plaintext at the provider — that is the point of the baseline. The
+  // blob id names the one logical write, so it doubles as its token.
+  TC_RETURN_IF_ERROR(cloud_->PutBlobBatchRpc({{blob_id, content}}, {blob_id})
+                         .status);
   docs_[doc_id] = VaultDoc{owner, title, blob_id, policy};
   return doc_id;
 }

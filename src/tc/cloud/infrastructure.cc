@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <type_traits>
 
 #include "tc/obs/trace.h"
 
@@ -43,17 +44,8 @@ OverloadMetrics& GetOverloadMetrics() {
 
 }  // namespace
 
-OverloadGate::OverloadGate(AdmissionController* controller) {
-  Enter(controller, CurrentOverloadContext().criticality);
-}
-
 OverloadGate::OverloadGate(AdmissionController* controller,
                            Criticality criticality) {
-  Enter(controller, criticality);
-}
-
-void OverloadGate::Enter(AdmissionController* controller,
-                         Criticality criticality) {
   if (OverloadDeadlineExpired()) {
     GetOverloadMetrics().shed_expired.Increment();
     status_ = Status::DeadlineExceeded(
@@ -89,8 +81,7 @@ OverloadGate::~OverloadGate() {
 }
 
 CloudInfrastructure::Metrics::Metrics()
-    : put_us(obs::MetricRegistry::Global().GetHistogram("cloud.put_us")),
-      put_batch_us(
+    : put_batch_us(
           obs::MetricRegistry::Global().GetHistogram("cloud.put_batch_us")),
       get_us(obs::MetricRegistry::Global().GetHistogram("cloud.get_us")),
       send_us(obs::MetricRegistry::Global().GetHistogram("cloud.send_us")),
@@ -172,19 +163,6 @@ void CloudInfrastructure::ChargeLatency() const {
   std::this_thread::sleep_for(std::chrono::microseconds(options_.op_latency_us));
 }
 
-uint64_t CloudInfrastructure::PutBlob(const std::string& id,
-                                      const Bytes& data) {
-  // Child-only timed spans on the provider API: a traced operation above
-  // (cell op, fleet task) sees every cloud hop; un-traced hot-path use is
-  // trace-inert but still feeds the latency histogram, and span + timer
-  // share one pair of clock reads.
-  obs::TraceSpan span(obs::kChildOnly, "cloud", "put", id, &metrics_.put_us);
-  ChargeLatency();
-  stats_.blob_puts.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_in.fetch_add(data.size(), std::memory_order_relaxed);
-  return blobs_.Put(id, data);
-}
-
 std::vector<uint64_t> CloudInfrastructure::PutBlobBatch(
     const std::vector<std::pair<std::string, Bytes>>& items) {
   obs::TraceSpan span(obs::kChildOnly, "cloud", "put_batch",
@@ -198,6 +176,88 @@ std::vector<uint64_t> CloudInfrastructure::PutBlobBatch(
   return blobs_.PutBatch(items);
 }
 
+namespace {
+
+uint64_t FaultOrdinal(const FaultDecision& decision) {
+  return decision.clean() ? 0 : decision.ordinal;
+}
+
+template <typename T>
+struct IsResult : std::false_type {};
+template <typename T>
+struct IsResult<Result<T>> : std::true_type {};
+
+/// The reply a caller gets when the request or its reply was lost, or the
+/// overload gate shed it.
+template <typename Reply>
+Reply LostReply(Status status) {
+  if constexpr (IsResult<Reply>::value) {
+    return Reply(std::move(status));
+  } else {
+    Reply reply;
+    reply.status = std::move(status);
+    return reply;
+  }
+}
+
+// A network duplicate reaches the provider a second time. An aborted (or
+// rejected) first commit left no token record and no state change, so its
+// copy would fail identically: only a committed commit is re-delivered.
+bool RedeliverDuplicate(const TxnOutcome& outcome) { return outcome.committed; }
+template <typename Reply>
+bool RedeliverDuplicate(const Reply& /*reply*/) {
+  return true;
+}
+
+}  // namespace
+
+template <typename Execute>
+auto CloudInfrastructure::Edge(const EdgeShape& shape, FaultDecision* decision,
+                               const Execute& execute) {
+  using Reply = std::invoke_result_t<const Execute&, const FaultDecision&>;
+  if (NetworkFaultInjector* injector = fault_injector()) {
+    *decision = injector->Next(shape.op);
+    if (!decision->clean()) metrics_.net_faults.Increment();
+  }
+  if (decision->outage || decision->throttled) {
+    metrics_.net_outages.Increment();
+    return LostReply<Reply>(Status::Unavailable(
+        decision->outage ? "provider outage" : "provider throttled"));
+  }
+  // A read is side-effect free, so a lost reply is indistinguishable from
+  // a lost request; an atomic request cannot be torn, only lost whole.
+  if (decision->drop_request || (shape.read && decision->drop_ack) ||
+      (shape.atomic && decision->item_seed != 0)) {
+    return LostReply<Reply>(
+        Status::Unavailable(std::string(shape.name) + " lost in flight"));
+  }
+  // Overload plane: gate after the fault draw (so the injector's ordinal
+  // stream is identical plane on/off) and before any provider work.
+  // Health scrapes are admission-critical: the operator must be able to
+  // see an overloaded provider, so a scrape is never turned away by the
+  // very controller it observes (a dead scrape is still shed).
+  OverloadGate gate(admission_controller(),
+                    shape.critical ? Criticality::kCritical
+                                   : CurrentOverloadContext().criticality);
+  if (gate.shed()) return LostReply<Reply>(gate.status());
+  if (decision->cpu_burn_us != 0 && !shape.critical) {
+    BurnCpuUs(decision->cpu_burn_us);
+  }
+  Reply reply = execute(*decision);
+  if (decision->duplicate && !shape.read && RedeliverDuplicate(reply)) {
+    // Network retransmission: the provider applies the request again and
+    // its token/dedup tables answer the copy with the original outcome.
+    execute(*decision);
+  }
+  if (decision->drop_ack && !shape.read) {
+    // Applied, but the caller never learns it: the retry under the same
+    // token is answered from the token/dedup tables.
+    return LostReply<Reply>(
+        Status::Unavailable(std::string(shape.name) + " ack lost"));
+  }
+  return reply;
+}
+
 CloudInfrastructure::BatchPutOutcome CloudInfrastructure::PutBlobBatchRpc(
     const std::vector<std::pair<std::string, Bytes>>& items,
     const std::vector<std::string>& tokens) {
@@ -205,251 +265,171 @@ CloudInfrastructure::BatchPutOutcome CloudInfrastructure::PutBlobBatchRpc(
                       std::to_string(items.size()) + " blobs",
                       &metrics_.put_batch_us);
   ChargeLatency();  // One round-trip for the whole batch.
+  // Applies the batch, or the surviving part of a torn one, and records
+  // what reached the provider (a network duplicate recomputes the same).
+  size_t kept = 0;
+  uint64_t bytes = 0;
+  auto apply = [&](const FaultDecision& decision) {
+    BatchPutOutcome applied;
+    applied.versions.assign(items.size(), 0);
+    applied.acked.assign(items.size(), 0);
+    // `keep` stays empty (meaning keep-all) on the clean path: no per-call
+    // allocation unless the batch is actually torn.
+    std::vector<uint8_t> keep;
+    kept = items.size();
+    if (decision.item_seed != 0) {
+      keep.assign(items.size(), 1);
+      Rng item_rng(decision.item_seed);
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (item_rng.NextBernoulli(decision.item_loss)) {
+          keep[i] = 0;
+          --kept;
+        }
+      }
+    }
+    std::vector<std::pair<std::string, Bytes>> sub_items;
+    std::vector<std::string> sub_tokens;
+    std::vector<size_t> sub_index;
+    const bool whole = kept == items.size();
+    if (!whole) {
+      sub_items.reserve(kept);
+      sub_tokens.reserve(kept);
+      sub_index.reserve(kept);
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (!keep[i]) continue;
+        sub_items.push_back(items[i]);
+        sub_tokens.push_back(tokens[i]);
+        sub_index.push_back(i);
+      }
+    }
+    std::vector<uint64_t> versions = blobs_.PutBatchIdempotent(
+        whole ? items : sub_items, whole ? tokens : sub_tokens);
+    bytes = 0;
+    for (size_t j = 0; j < versions.size(); ++j) {
+      size_t i = whole ? j : sub_index[j];
+      applied.versions[i] = versions[j];
+      applied.acked[i] = 1;
+      bytes += items[i].second.size();
+    }
+    if (!whole) {
+      applied.status = Status::Unavailable(
+          "batch torn in flight: " + std::to_string(items.size() - kept) +
+          " of " + std::to_string(items.size()) + " items lost");
+    }
+    return applied;
+  };
+
+  FaultDecision decision;
   BatchPutOutcome outcome;
-  outcome.versions.assign(items.size(), 0);
-  outcome.acked.assign(items.size(), 0);
   if (items.size() != tokens.size()) {
     outcome.status =
         Status::InvalidArgument("put batch: one token per item required");
-    return outcome;
-  }
-
-  FaultDecision decision;
-  if (NetworkFaultInjector* injector = fault_injector()) {
-    decision = injector->Next(NetOp::kPutBatch);
-    if (!decision.clean()) metrics_.net_faults.Increment();
-  }
-  outcome.delay_us = decision.delay_us;
-  outcome.fault_ordinal = decision.clean() ? 0 : decision.ordinal;
-
-  if (decision.outage || decision.throttled) {
-    metrics_.net_outages.Increment();
-    outcome.status = Status::Unavailable(
-        decision.outage ? "provider outage" : "provider throttled the batch");
-    return outcome;
-  }
-  if (decision.drop_request) {
-    outcome.status = Status::Unavailable("batch lost before the provider");
-    return outcome;
-  }
-
-  // Overload plane: gate after the fault draw (so the injector's ordinal
-  // stream is identical plane on/off) and before any store work.
-  OverloadGate gate(admission_controller());
-  if (gate.shed()) {
-    outcome.status = gate.status();
-    return outcome;
-  }
-  if (decision.cpu_burn_us != 0) BurnCpuUs(decision.cpu_burn_us);
-
-  // The batch (or the surviving part of a torn one) reaches the provider.
-  // `keep` stays empty (meaning keep-all) on the clean path: no per-call
-  // allocation unless the batch is actually torn.
-  std::vector<uint8_t> keep;
-  size_t kept = items.size();
-  if (decision.item_seed != 0) {
-    keep.assign(items.size(), 1);
-    Rng item_rng(decision.item_seed);
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (item_rng.NextBernoulli(decision.item_loss)) {
-        keep[i] = 0;
-        --kept;
-      }
-    }
-  }
-
-  uint64_t bytes = 0;
-  std::vector<std::pair<std::string, Bytes>> sub_items;
-  std::vector<std::string> sub_tokens;
-  std::vector<size_t> sub_index;
-  const bool whole = kept == items.size();
-  if (!whole) {
-    sub_items.reserve(kept);
-    sub_tokens.reserve(kept);
-    sub_index.reserve(kept);
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (!keep[i]) continue;
-      sub_items.push_back(items[i]);
-      sub_tokens.push_back(tokens[i]);
-      sub_index.push_back(i);
-    }
-  }
-  const auto& apply_items = whole ? items : sub_items;
-  const auto& apply_tokens = whole ? tokens : sub_tokens;
-  std::vector<uint64_t> versions =
-      blobs_.PutBatchIdempotent(apply_items, apply_tokens);
-  if (decision.duplicate) {
-    // Network retransmission: the provider applies the request again; the
-    // token tables answer the second copy with the same versions.
-    blobs_.PutBatchIdempotent(apply_items, apply_tokens);
-  }
-  for (size_t j = 0; j < versions.size(); ++j) {
-    size_t i = whole ? j : sub_index[j];
-    outcome.versions[i] = versions[j];
-    outcome.acked[i] = 1;
-    bytes += items[i].second.size();
+  } else {
+    outcome = Edge(EdgeShape{NetOp::kPutBatch, "put batch"}, &decision, apply);
   }
   stats_.blob_puts.fetch_add(kept, std::memory_order_relaxed);
   stats_.bytes_in.fetch_add(bytes, std::memory_order_relaxed);
-
-  if (decision.drop_ack) {
-    // Applied, but the caller will never know: report nothing acked. The
-    // retry dedupes against the token tables and recovers the versions.
-    std::fill(outcome.acked.begin(), outcome.acked.end(), 0);
-    std::fill(outcome.versions.begin(), outcome.versions.end(), 0);
-    outcome.status = Status::Unavailable("batch ack lost");
-    return outcome;
-  }
-  if (!whole) {
-    outcome.status =
-        Status::Unavailable("batch torn in flight: " +
-                            std::to_string(items.size() - kept) + " of " +
-                            std::to_string(items.size()) + " items lost");
-  }
+  // A lost request or reply acks nothing.
+  outcome.versions.resize(items.size(), 0);
+  outcome.acked.resize(items.size(), 0);
+  outcome.delay_us = decision.delay_us;
+  outcome.fault_ordinal = FaultOrdinal(decision);
   return outcome;
 }
 
 Result<Bytes> CloudInfrastructure::GetBlobRpc(const std::string& id,
                                               uint32_t* delay_us) {
-  if (delay_us != nullptr) *delay_us = 0;
   FaultDecision decision;
-  if (NetworkFaultInjector* injector = fault_injector()) {
-    decision = injector->Next(NetOp::kGet);
-    if (!decision.clean()) metrics_.net_faults.Increment();
-    if (delay_us != nullptr) *delay_us = decision.delay_us;
-    if (decision.outage || decision.throttled) {
-      metrics_.net_outages.Increment();
-      return Status::Unavailable(decision.outage ? "provider outage"
-                                                 : "provider throttled");
-    }
-    // For a read, a lost request and a lost reply are indistinguishable to
-    // the caller and side-effect-free for the provider.
-    if (decision.drop_request || decision.drop_ack) {
-      return Status::Unavailable("get lost in flight: " + id);
-    }
-  }
-  OverloadGate gate(admission_controller());
-  if (gate.shed()) return gate.status();
-  if (decision.cpu_burn_us != 0) BurnCpuUs(decision.cpu_burn_us);
-  return GetBlob(id);
+  Result<Bytes> got = Edge(EdgeShape{NetOp::kGet, "get", /*read=*/true},
+                           &decision,
+                           [&](const FaultDecision&) { return GetBlob(id); });
+  if (delay_us != nullptr) *delay_us = decision.delay_us;
+  return got;
 }
-
-namespace {
-
-// Shared fault envelope for telemetry delivery. The wire path delivers
-// encoded bytes and the in-process path delivers the frame itself; both see
-// the identical outage/loss/duplicate/ack-drop model, so `deliver` is the
-// only difference between the two overloads below. Telemetry *reports* run
-// at the submitter's criticality (normal by default — scrapes, not reports,
-// are the health-critical leg).
-template <typename Deliver>
-obs::TelemetryHub::ReportOutcome DeliverTelemetry(NetworkFaultInjector* injector,
-                                                  AdmissionController* admission,
-                                                  obs::Counter& net_faults,
-                                                  obs::Counter& net_outages,
-                                                  const Deliver& deliver,
-                                                  uint32_t* delay_us) {
-  if (delay_us != nullptr) *delay_us = 0;
-  obs::TelemetryHub::ReportOutcome outcome;
-  FaultDecision decision;
-  if (injector != nullptr) {
-    decision = injector->Next(NetOp::kTelemetry);
-    if (!decision.clean()) net_faults.Increment();
-    if (delay_us != nullptr) *delay_us = decision.delay_us;
-    if (decision.outage || decision.throttled) {
-      net_outages.Increment();
-      outcome.status = Status::Unavailable(
-          decision.outage ? "provider outage" : "provider throttled");
-      return outcome;
-    }
-    // A frame is atomic: a torn-batch decision degrades to a lost request.
-    if (decision.drop_request || decision.item_seed != 0) {
-      outcome.status = Status::Unavailable("telemetry frame lost in flight");
-      return outcome;
-    }
-  }
-  OverloadGate gate(admission);
-  if (gate.shed()) {
-    outcome.status = gate.status();
-    return outcome;
-  }
-  if (decision.cpu_burn_us != 0) BurnCpuUs(decision.cpu_burn_us);
-  outcome = deliver();
-  if (decision.duplicate) {
-    // Network-level retransmission: the hub sees the frame twice; the
-    // dedup table makes the second delivery a no-op.
-    deliver();
-  }
-  if (decision.drop_ack && outcome.status.ok()) {
-    // Applied, but the caller never learns it: the byte-identical retry
-    // will be answered from the dedup table.
-    outcome = obs::TelemetryHub::ReportOutcome{};
-    outcome.status = Status::Unavailable("telemetry ack lost in flight");
-    return outcome;
-  }
-  return outcome;
-}
-
-}  // namespace
 
 obs::TelemetryHub::ReportOutcome CloudInfrastructure::ReportTelemetryRpc(
     const Bytes& frame, uint32_t* delay_us) {
-  return DeliverTelemetry(
-      fault_injector(), admission_controller(), metrics_.net_faults,
-      metrics_.net_outages,
-      [&] { return telemetry_hub_.ReportEncoded(frame); }, delay_us);
+  FaultDecision decision;
+  obs::TelemetryHub::ReportOutcome outcome = Edge(
+      EdgeShape{NetOp::kTelemetry, "telemetry report", /*read=*/false,
+                /*atomic=*/true},
+      &decision, [&](const FaultDecision&) {
+        return telemetry_hub_.ReportEncoded(frame);
+      });
+  if (delay_us != nullptr) *delay_us = decision.delay_us;
+  return outcome;
 }
 
 obs::TelemetryHub::ReportOutcome CloudInfrastructure::ReportTelemetryRpc(
     const obs::TelemetryFrame& frame, uint32_t* delay_us) {
-  return DeliverTelemetry(
-      fault_injector(), admission_controller(), metrics_.net_faults,
-      metrics_.net_outages, [&] { return telemetry_hub_.Report(frame); },
-      delay_us);
+  FaultDecision decision;
+  obs::TelemetryHub::ReportOutcome outcome = Edge(
+      EdgeShape{NetOp::kTelemetry, "telemetry report", /*read=*/false,
+                /*atomic=*/true},
+      &decision,
+      [&](const FaultDecision&) { return telemetry_hub_.Report(frame); });
+  if (delay_us != nullptr) *delay_us = decision.delay_us;
+  return outcome;
 }
 
 Result<std::string> CloudInfrastructure::ScrapeTelemetryRpc(
     uint32_t* delay_us) {
-  if (delay_us != nullptr) *delay_us = 0;
-  if (NetworkFaultInjector* injector = fault_injector()) {
-    FaultDecision decision = injector->Next(NetOp::kTelemetry);
-    if (!decision.clean()) metrics_.net_faults.Increment();
-    if (delay_us != nullptr) *delay_us = decision.delay_us;
-    if (decision.outage || decision.throttled) {
-      metrics_.net_outages.Increment();
-      return Status::Unavailable(decision.outage ? "provider outage"
-                                                 : "provider throttled");
-    }
-    // For a read, a lost request and a lost reply are indistinguishable to
-    // the caller and side-effect-free for the provider.
-    if (decision.drop_request || decision.drop_ack) {
-      return Status::Unavailable("telemetry scrape lost in flight");
-    }
-  }
-  // Health/telemetry scrapes are admission-critical: the operator must be
-  // able to see an overloaded provider, so a scrape is never turned away
-  // by the very controller it is observing (the deadline shed still
-  // applies — a dead scrape is dead).
-  OverloadGate gate(admission_controller(), Criticality::kCritical);
-  if (gate.shed()) return gate.status();
-  return telemetry_hub_.ScrapeJson();
+  FaultDecision decision;
+  Result<std::string> json = Edge(
+      EdgeShape{NetOp::kTelemetry, "telemetry scrape", /*read=*/true,
+                /*atomic=*/false, /*critical=*/true},
+      &decision, [&](const FaultDecision&) -> Result<std::string> {
+        return telemetry_hub_.ScrapeJson();
+      });
+  if (delay_us != nullptr) *delay_us = decision.delay_us;
+  return json;
 }
 
-SnapshotDescriptor CloudInfrastructure::GetSnapshot() const {
-  return blobs_.Snapshot();
+TxnOutcome CloudInfrastructure::CommitTxnRpc(const TxnRequest& req) {
+  FaultDecision decision;
+  // Overload plane: a shed txn returns before the commit, so the token
+  // table never records it — the client's retry under the same token
+  // executes fresh (replayed == false), which keeps shedding replay-safe.
+  TxnOutcome outcome = Edge(
+      EdgeShape{NetOp::kTxnCommit, "txn", /*read=*/false, /*atomic=*/true},
+      &decision, [&](const FaultDecision&) { return ApplyTxn(req); });
+  outcome.delay_us = decision.delay_us;
+  outcome.fault_ordinal = FaultOrdinal(decision);
+  return outcome;
 }
 
-Result<SnapshotRead> CloudInfrastructure::GetBlobAtSnapshot(
-    const std::string& id, const SnapshotDescriptor& snap) {
-  obs::ScopedTimer timer(&metrics_.get_us);
-  ChargeLatency();
-  stats_.blob_gets.fetch_add(1, std::memory_order_relaxed);
-  TC_ASSIGN_OR_RETURN(SnapshotRead read, blobs_.GetAtSnapshot(id, snap));
-  stats_.bytes_out.fetch_add(read.data.size(), std::memory_order_relaxed);
+Result<SnapshotDescriptor> CloudInfrastructure::GetSnapshotRpc(
+    uint32_t* delay_us) {
+  FaultDecision decision;
+  Result<SnapshotDescriptor> snap = Edge(
+      EdgeShape{NetOp::kGet, "snapshot", /*read=*/true}, &decision,
+      [&](const FaultDecision&) -> Result<SnapshotDescriptor> {
+        return blobs_.Snapshot();
+      });
+  if (delay_us != nullptr) *delay_us = decision.delay_us;
+  return snap;
+}
+
+Result<SnapshotRead> CloudInfrastructure::GetBlobAtSnapshotRpc(
+    const std::string& id, const SnapshotDescriptor& snap,
+    uint32_t* delay_us) {
+  FaultDecision decision;
+  Result<SnapshotRead> read = Edge(
+      EdgeShape{NetOp::kGet, "snapshot get", /*read=*/true}, &decision,
+      [&](const FaultDecision&) -> Result<SnapshotRead> {
+        obs::ScopedTimer timer(&metrics_.get_us);
+        ChargeLatency();
+        stats_.blob_gets.fetch_add(1, std::memory_order_relaxed);
+        TC_ASSIGN_OR_RETURN(SnapshotRead read, blobs_.GetAtSnapshot(id, snap));
+        stats_.bytes_out.fetch_add(read.data.size(),
+                                   std::memory_order_relaxed);
+        return read;
+      });
+  if (delay_us != nullptr) *delay_us = decision.delay_us;
   return read;
 }
 
-TxnOutcome CloudInfrastructure::CommitTxn(const TxnRequest& req) {
+TxnOutcome CloudInfrastructure::ApplyTxn(const TxnRequest& req) {
   obs::TraceSpan span(obs::kChildOnly, "cloud", "txn_commit", req.token,
                       &metrics_.txn_us);
   ChargeLatency();
@@ -468,111 +448,6 @@ TxnOutcome CloudInfrastructure::CommitTxn(const TxnRequest& req) {
     metrics_.txn_aborts.Increment();
   }
   return outcome;
-}
-
-TxnOutcome CloudInfrastructure::CommitTxnRpc(const TxnRequest& req) {
-  FaultDecision decision;
-  if (NetworkFaultInjector* injector = fault_injector()) {
-    decision = injector->Next(NetOp::kTxnCommit);
-    if (!decision.clean()) metrics_.net_faults.Increment();
-  }
-  TxnOutcome outcome;
-  outcome.delay_us = decision.delay_us;
-  outcome.fault_ordinal = decision.clean() ? 0 : decision.ordinal;
-
-  if (decision.outage || decision.throttled) {
-    metrics_.net_outages.Increment();
-    outcome.status = Status::Unavailable(
-        decision.outage ? "provider outage" : "provider throttled the txn");
-    return outcome;
-  }
-  // A transaction is atomic by construction: the "torn batch" fault class
-  // cannot partially apply it, so it degrades to a lost request.
-  if (decision.drop_request || decision.item_seed != 0) {
-    outcome.status = Status::Unavailable("txn lost before the provider");
-    return outcome;
-  }
-
-  // Overload plane: a shed txn returns before CommitTxn, so the token
-  // table never records it — the client's retry under the same token
-  // executes fresh (replayed == false), which is what keeps shedding
-  // replay-safe.
-  OverloadGate gate(admission_controller());
-  if (gate.shed()) {
-    outcome.status = gate.status();
-    return outcome;
-  }
-  if (decision.cpu_burn_us != 0) BurnCpuUs(decision.cpu_burn_us);
-
-  TxnOutcome applied = CommitTxn(req);
-  if (decision.duplicate && applied.committed) {
-    // Network retransmission: the provider sees the commit again and the
-    // txn-token table answers the copy with the original outcome. An
-    // aborted first delivery leaves no token record and no state change,
-    // so re-running its copy would abort identically — skip it.
-    CommitTxn(req);
-  }
-  applied.delay_us = outcome.delay_us;
-  applied.fault_ordinal = outcome.fault_ordinal;
-
-  if (decision.drop_ack) {
-    // Applied (committed or aborted), but the caller never learns which.
-    // The retry under the same token is answered from the token table if
-    // it committed, and re-validated if it aborted.
-    TxnOutcome lost;
-    lost.delay_us = outcome.delay_us;
-    lost.fault_ordinal = outcome.fault_ordinal;
-    lost.status = Status::Unavailable("txn ack lost");
-    return lost;
-  }
-  return applied;
-}
-
-Result<SnapshotDescriptor> CloudInfrastructure::GetSnapshotRpc(
-    uint32_t* delay_us) {
-  if (delay_us != nullptr) *delay_us = 0;
-  FaultDecision decision;
-  if (NetworkFaultInjector* injector = fault_injector()) {
-    decision = injector->Next(NetOp::kGet);
-    if (!decision.clean()) metrics_.net_faults.Increment();
-    if (delay_us != nullptr) *delay_us = decision.delay_us;
-    if (decision.outage || decision.throttled) {
-      metrics_.net_outages.Increment();
-      return Status::Unavailable(decision.outage ? "provider outage"
-                                                 : "provider throttled");
-    }
-    if (decision.drop_request || decision.drop_ack) {
-      return Status::Unavailable("snapshot request lost in flight");
-    }
-  }
-  OverloadGate gate(admission_controller());
-  if (gate.shed()) return gate.status();
-  if (decision.cpu_burn_us != 0) BurnCpuUs(decision.cpu_burn_us);
-  return blobs_.Snapshot();
-}
-
-Result<SnapshotRead> CloudInfrastructure::GetBlobAtSnapshotRpc(
-    const std::string& id, const SnapshotDescriptor& snap,
-    uint32_t* delay_us) {
-  if (delay_us != nullptr) *delay_us = 0;
-  FaultDecision decision;
-  if (NetworkFaultInjector* injector = fault_injector()) {
-    decision = injector->Next(NetOp::kGet);
-    if (!decision.clean()) metrics_.net_faults.Increment();
-    if (delay_us != nullptr) *delay_us = decision.delay_us;
-    if (decision.outage || decision.throttled) {
-      metrics_.net_outages.Increment();
-      return Status::Unavailable(decision.outage ? "provider outage"
-                                                 : "provider throttled");
-    }
-    if (decision.drop_request || decision.drop_ack) {
-      return Status::Unavailable("snapshot get lost in flight: " + id);
-    }
-  }
-  OverloadGate gate(admission_controller());
-  if (gate.shed()) return gate.status();
-  if (decision.cpu_burn_us != 0) BurnCpuUs(decision.cpu_burn_us);
-  return GetBlobAtSnapshot(id, snap);
 }
 
 Result<Bytes> CloudInfrastructure::GetBlob(const std::string& id) {

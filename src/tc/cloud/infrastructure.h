@@ -24,7 +24,7 @@
 namespace tc::cloud {
 
 /// RAII front door of one provider-RPC execution: the overload-control
-/// checks every RPC-suffixed endpoint runs before touching the store.
+/// checks the provider edge runs before touching the store.
 ///
 ///   1. Deadline shed — if the calling thread's OverloadContext carries a
 ///      deadline that has already passed, the request is shed with
@@ -46,10 +46,9 @@ namespace tc::cloud {
 /// schedules stay replayable across configurations).
 class OverloadGate {
  public:
-  /// Criticality read from the calling thread's OverloadContext.
-  explicit OverloadGate(AdmissionController* controller);
-  /// Criticality forced by the endpoint (health/scrape paths pass
-  /// kCritical regardless of what the client marked).
+  /// `criticality` is the request's class: the calling thread's
+  /// OverloadContext, or kCritical forced by a health/scrape endpoint
+  /// regardless of what the client marked.
   OverloadGate(AdmissionController* controller, Criticality criticality);
   ~OverloadGate();
 
@@ -62,8 +61,6 @@ class OverloadGate {
   bool shed() const { return !status_.ok(); }
 
  private:
-  void Enter(AdmissionController* controller, Criticality criticality);
-
   AdmissionController* controller_ = nullptr;
   Status status_;
   bool slot_ = false;
@@ -123,6 +120,18 @@ struct CloudStats {
 /// this layer (it IS the provider); the E8 experiment measures how reliably
 /// the cells' cryptographic checks convict it.
 ///
+/// The provider edge: every cell request (put batch, get, snapshot,
+/// snapshot get, commit, telemetry report and scrape) arrives through one
+/// of the `*Rpc` endpoints, and every one of them crosses the same private
+/// edge step — network fault draw, outage/throttle, request loss, overload
+/// gate, slow-op CPU burn, execute, network duplicate, ack loss. The ops
+/// differ only in a small shape: read-class (a lost reply is a lost
+/// request, a duplicate is not re-executed), atomic (a torn batch is a lost
+/// request), the duplicate rule of commits (re-delivered only when
+/// committed) and the scrape's forced kCritical admission without CPU burn.
+/// Cells reach the endpoints through net::CloudTransport (in-process or a
+/// socket), never around them.
+///
 /// Thread safety: every public method may be called concurrently. Blobs and
 /// message queues are sharded across lock-striped partitions (hash of blob
 /// id / recipient), counters are atomics snapshotted on read, and the
@@ -132,10 +141,12 @@ struct CloudStats {
 /// interleaving never perturbs another shard's stream).
 ///
 /// Observability (tc::obs global registry):
-///   cloud.put_us / cloud.put_batch_us / cloud.get_us /
-///   cloud.send_us / cloud.receive_us        histograms, per-op latency
+///   cloud.put_batch_us / cloud.get_us /
+///   cloud.txn_us / cloud.send_us /
+///   cloud.receive_us                        histograms, per-op latency
 ///                                           (includes simulated RTT)
 ///   cloud.adversary.*                       counters, ground-truth events
+///   cloud.net.faults / cloud.net.outages    counters, edge fault decisions
 ///   cloud.blob_lock_contention /
 ///   cloud.queue_lock_contention             gauges, refreshed by stats()
 class CloudInfrastructure {
@@ -171,9 +182,9 @@ class CloudInfrastructure {
   };
 
   /// Attaches (or detaches, with nullptr) the network fault injector the
-  /// RPC-suffixed endpoints consult. Not owned; must outlive its use. The
-  /// plain endpoints below never consult it — only traffic that opts into
-  /// the RPC surface experiences network faults.
+  /// edge consults. Not owned; must outlive its use. The direct endpoints
+  /// below the edge (the fleet's direct leg, harness reads, messaging)
+  /// never consult it.
   void set_fault_injector(NetworkFaultInjector* injector) {
     fault_injector_.store(injector, std::memory_order_release);
   }
@@ -182,9 +193,9 @@ class CloudInfrastructure {
   }
 
   /// Attaches (or detaches, with nullptr) the adaptive admission
-  /// controller the RPC-suffixed endpoints gate on (see OverloadGate).
-  /// Not owned; must outlive its use. Detached (the default), the
-  /// endpoints still honor deadline shedding but never push back.
+  /// controller the edge gates on (see OverloadGate). Not owned; must
+  /// outlive its use. Detached (the default), the edge still honors
+  /// deadline shedding but never pushes back.
   void set_admission_controller(AdmissionController* controller) {
     admission_.store(controller, std::memory_order_release);
   }
@@ -192,81 +203,60 @@ class CloudInfrastructure {
     return admission_.load(std::memory_order_acquire);
   }
 
-  // ---- Blob storage over the faulty network (RPC surface) ----
-  // One call = one network attempt: the injector may lose the request
-  // (kUnavailable, nothing stored), lose the ack (kUnavailable, stored!),
-  // duplicate it (stored once thanks to the tokens), tear a batch (some
-  // items stored), throttle it, or reject it during an outage window.
-  // Idempotency tokens make re-attempts exactly-once; see
-  // BlobStore::PutBatchIdempotent.
+  // ---- The provider edge: one call = one network attempt ----
+  // The injector may lose the request (kUnavailable, no effect), lose the
+  // ack (kUnavailable, applied!), duplicate it (applied once thanks to the
+  // tokens), tear a batch (some items stored), throttle it, or reject it
+  // during an outage window; the overload gate may shed it
+  // (kDeadlineExceeded / kResourceExhausted, no effect). Idempotency tokens
+  // (blob tokens, txn tokens, telemetry (source, seq)) make re-attempts
+  // exactly-once. `delay_us` out-params / fields receive the injected
+  // delay to charge to the caller's virtual clock.
 
+  /// Batched idempotent put (see BlobStore::PutBatchIdempotent).
   BatchPutOutcome PutBlobBatchRpc(
       const std::vector<std::pair<std::string, Bytes>>& items,
       const std::vector<std::string>& tokens);
-  /// Latest blob over the faulty network; `delay_us`, when non-null,
-  /// receives the injected delay to charge to the caller's virtual clock.
+  /// Latest blob — possibly tampered or rolled back by the adversary.
   Result<Bytes> GetBlobRpc(const std::string& id, uint32_t* delay_us = nullptr);
-
-  // ---- Provider transactions (MVCC) ----
-  // Multi-key atomic commit with snapshot-validated read/write sets; see
-  // BlobStore::CommitTxn for semantics. The Rpc variants consult the fault
-  // injector: a txn is atomic by construction, so a "torn batch" decision
-  // degrades to a lost request (no partial application is possible), a
-  // lost ack leaves the commit applied and the retry is answered from the
-  // txn-token table, and a network duplicate is delivered twice — the
-  // second copy replays the first's outcome when it committed, and
-  // re-validates (against the store state the first left untouched) when
-  // it aborted.
-
-  /// Snapshot of the committed horizon (direct provider call).
-  SnapshotDescriptor GetSnapshot() const;
-  /// Direct commit, no network between caller and provider.
-  TxnOutcome CommitTxn(const TxnRequest& req);
-  /// Newest version of `id` visible in `snap` (direct provider call).
-  Result<SnapshotRead> GetBlobAtSnapshot(const std::string& id,
-                                         const SnapshotDescriptor& snap);
-  // ---- Fleet telemetry (RPC surface) ----
-  // Cells ship sequence-numbered obs::TelemetryFrame deltas; the hub's
-  // per-source dedup table (same idempotency pattern as the blob token
-  // tables) makes every fault class safe: a lost request applies nothing,
-  // a lost ack leaves the frame applied and the byte-identical retry is
-  // deduplicated, a network duplicate delivers twice and the second copy is
-  // deduplicated. A frame is atomic, so a torn-batch decision degrades to a
-  // lost request.
-
-  /// Reports one encoded telemetry frame over the faulty network.
-  /// delay_us, when non-null, receives the injected delay.
-  obs::TelemetryHub::ReportOutcome ReportTelemetryRpc(
-      const Bytes& frame, uint32_t* delay_us = nullptr);
-  /// In-process locality fast path: same fault model, no codec round-trip.
-  /// Cells colocated with the hub report the frame itself; only real wire
-  /// transports pay encode/decode.
-  obs::TelemetryHub::ReportOutcome ReportTelemetryRpc(
-      const obs::TelemetryFrame& frame, uint32_t* delay_us = nullptr);
-  /// Scrapes the fleet telemetry JSON over the faulty network
-  /// (read-class faults).
-  Result<std::string> ScrapeTelemetryRpc(uint32_t* delay_us = nullptr);
-  /// The provider-side aggregation point (direct access for harnesses and
-  /// the in-process transport's report/scrape fast paths).
-  obs::TelemetryHub& telemetry_hub() { return telemetry_hub_; }
-
-  /// Commit over the faulty network; outcome.delay_us carries the injected
-  /// delay to charge to the caller's virtual clock.
-  TxnOutcome CommitTxnRpc(const TxnRequest& req);
-  /// Snapshot acquisition over the faulty network (read-class faults).
+  /// Snapshot of the committed horizon (read-class).
   Result<SnapshotDescriptor> GetSnapshotRpc(uint32_t* delay_us = nullptr);
-  /// Snapshot read over the faulty network (read-class faults).
+  /// Newest version of `id` visible in `snap` (read-class).
   Result<SnapshotRead> GetBlobAtSnapshotRpc(const std::string& id,
                                             const SnapshotDescriptor& snap,
                                             uint32_t* delay_us = nullptr);
+  /// Multi-key atomic MVCC commit with snapshot-validated read/write sets
+  /// (see BlobStore::CommitTxn). A lost ack leaves the commit applied and
+  /// the retry is answered from the txn-token table; a duplicate of a
+  /// committed commit replays, a duplicate of an abort is not re-sent.
+  TxnOutcome CommitTxnRpc(const TxnRequest& req);
 
-  // ---- Blob storage ----
-  uint64_t PutBlob(const std::string& id, const Bytes& data);
+  // Fleet telemetry: cells ship sequence-numbered obs::TelemetryFrame
+  // deltas; the hub's per-source dedup table (same idempotency pattern as
+  // the blob token tables) makes every fault class safe.
+
+  /// Reports one encoded telemetry frame (atomic).
+  obs::TelemetryHub::ReportOutcome ReportTelemetryRpc(
+      const Bytes& frame, uint32_t* delay_us = nullptr);
+  /// Same edge without the codec round-trip. Kept only for FleetRunner's
+  /// direct leg, until the fleet's direct and resilient legs merge.
+  obs::TelemetryHub::ReportOutcome ReportTelemetryRpc(
+      const obs::TelemetryFrame& frame, uint32_t* delay_us = nullptr);
+  /// Scrapes the fleet telemetry JSON (read-class, admission-critical).
+  Result<std::string> ScrapeTelemetryRpc(uint32_t* delay_us = nullptr);
+  /// The provider-side aggregation point (direct access for harnesses).
+  obs::TelemetryHub& telemetry_hub() { return telemetry_hub_; }
+
+  // ---- Direct blob access (below the edge: no faults, no gate) ----
+
   /// Stores a batch of blobs in one round-trip; returns versions in input
-  /// order. Shard locks are taken at most once per batch.
+  /// order. Shard locks are taken at most once per batch. Kept only for
+  /// FleetRunner's direct leg, until the fleet's legs merge.
   std::vector<uint64_t> PutBlobBatch(
       const std::vector<std::pair<std::string, Bytes>>& items);
-  /// Latest blob — possibly tampered or rolled back by the adversary.
+  /// Latest blob — possibly tampered or rolled back by the adversary. The
+  /// execute step of GetBlobRpc; also FleetRunner's direct leg and the
+  /// harnesses' view of what the provider serves.
   Result<Bytes> GetBlob(const std::string& id);
   Result<Bytes> GetBlobVersion(const std::string& id, uint64_t version);
   Result<uint64_t> LatestBlobVersion(const std::string& id) const;
@@ -337,7 +327,6 @@ class CloudInfrastructure {
   /// registry; the hot path only touches their relaxed atomics.
   struct Metrics {
     Metrics();
-    obs::Histogram& put_us;
     obs::Histogram& put_batch_us;
     obs::Histogram& get_us;
     obs::Histogram& send_us;
@@ -361,6 +350,28 @@ class CloudInfrastructure {
   AdversaryConfig SnapshotAdversary() const;
   /// Charges the simulated provider round-trip (outside any lock).
   void ChargeLatency() const;
+
+  /// Per-op differences of the edge step.
+  struct EdgeShape {
+    NetOp op;
+    const char* name;  ///< Labels the lost-in-flight statuses.
+    /// Side-effect free: a lost reply is a lost request, and a network
+    /// duplicate is not executed again.
+    bool read = false;
+    /// Cannot be torn: a torn-batch decision is a lost request.
+    bool atomic = false;
+    /// Health path: admitted as kCritical, never burns slow-op CPU.
+    bool critical = false;
+  };
+  /// The one provider edge step: fault draw -> outage/throttle -> request
+  /// loss -> OverloadGate -> CPU burn -> execute -> network duplicate ->
+  /// ack loss. `execute(decision)` runs the op once and returns its reply;
+  /// `*decision` receives the injector's decision (clean when detached).
+  template <typename Execute>
+  auto Edge(const EdgeShape& shape, FaultDecision* decision,
+            const Execute& execute);
+  /// The commit behind CommitTxnRpc (span, simulated RTT, counters).
+  TxnOutcome ApplyTxn(const TxnRequest& req);
 
   Options options_;
   Metrics metrics_;

@@ -687,16 +687,10 @@ void FleetRunner::RunCellTxn(size_t cell_index, FleetCellResult* result) {
   auto build = [&](const std::vector<size_t>& keys, const std::string& token,
                    const std::string& attempt_id,
                    cloud::TxnRequest* req) -> Status {
-    cloud::SnapshotDescriptor snap;
-    if (channel) {
-      auto got = channel->GetSnapshot();
-      if (!got.ok()) return got.status();
-      snap = std::move(*got);
-    } else {
-      snap = cloud_->GetSnapshot();
-    }
+    auto snap = channel ? channel->GetSnapshot() : cloud_->GetSnapshotRpc();
+    if (!snap.ok()) return snap.status();
     req->token = token;
-    req->snapshot = std::move(snap);
+    req->snapshot = std::move(*snap);
     req->reads.clear();
     req->writes.clear();
     for (size_t k : keys) {
@@ -704,7 +698,7 @@ void FleetRunner::RunCellTxn(size_t cell_index, FleetCellResult* result) {
       uint64_t version = 0;
       uint64_t value = 0;
       auto read = channel ? channel->GetAtSnapshot(id, req->snapshot)
-                          : cloud_->GetBlobAtSnapshot(id, req->snapshot);
+                          : cloud_->GetBlobAtSnapshotRpc(id, req->snapshot);
       if (read.ok()) {
         version = read->version;
         auto decoded = DecodeCounter(read->data);
@@ -729,7 +723,7 @@ void FleetRunner::RunCellTxn(size_t cell_index, FleetCellResult* result) {
   auto send = [&](const cloud::TxnRequest& req,
                   const std::string& attempt_id) -> Fate {
     cloud::TxnOutcome outcome =
-        channel ? channel->CommitTxn(req) : cloud_->CommitTxn(req);
+        channel ? channel->CommitTxn(req) : cloud_->CommitTxnRpc(req);
     if (outcome.committed) {
       if (history != nullptr) {
         std::vector<std::pair<std::string, uint64_t>> writes;

@@ -11,13 +11,14 @@
 
 namespace tc::net {
 
-/// The cell-side view of the provider's RPC surface — exactly the five
-/// operations ResilientChannel retries over (batched idempotent puts,
+/// The cell-side view of the provider edge — exactly the seven operations
+/// of CloudInfrastructure's `*Rpc` endpoints (batched idempotent puts,
 /// latest-blob gets, snapshot acquisition, snapshot reads, multi-key
-/// commits). Everything above this interface (retry/backoff, deadline
-/// budgets, circuit breaker, outbox, fleet, cell) is transport-agnostic:
-/// the same channel code runs over an in-process function call or a real
-/// TCP connection to a standalone provider process.
+/// commits, telemetry reports and scrapes). Everything above this
+/// interface (retry/backoff, deadline budgets, circuit breaker, outbox,
+/// fleet, cell) is transport-agnostic: the same channel code runs over an
+/// in-process function call or a real TCP connection to a standalone
+/// provider process.
 ///
 /// Semantics every implementation must preserve:
 ///   - One call = one network attempt. The attempt may fail kUnavailable
@@ -81,10 +82,11 @@ class CloudTransport {
   virtual std::string name() const = 0;
 };
 
-/// The historical fast path: every "RPC" is a direct call into the shared
-/// CloudInfrastructure object (which consults the attached
-/// NetworkFaultInjector on this surface). Deterministic, allocation-free,
-/// and the default for unit tests.
+/// The in-process edge: every "RPC" is a direct call into the shared
+/// CloudInfrastructure's `*Rpc` endpoint (the same edge step the socket
+/// server dispatches onto, injector and overload gate included).
+/// Deterministic, allocation-free, and the default of every cell whose
+/// Config::transport is unset.
 class InProcessTransport final : public CloudTransport {
  public:
   explicit InProcessTransport(cloud::CloudInfrastructure* cloud)

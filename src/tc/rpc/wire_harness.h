@@ -28,9 +28,12 @@ namespace tc::rpc {
 /// the deterministic in-process default costs nothing.
 ///
 /// The NetworkFaultInjector attached to `cloud` keeps working on the
-/// socket path unchanged: it lives inside the *Rpc endpoints the server
-/// dispatches onto, so fault decisions remain a pure function of
-/// (seed, ordinal, op) regardless of transport.
+/// socket path unchanged: it lives inside the provider's one edge step,
+/// which the server dispatches onto exactly as InProcessTransport calls
+/// it, so fault decisions remain a pure function of (seed, ordinal, op)
+/// regardless of transport. Every TrustedCell honours its
+/// Config::transport, resilient or not, so a suite's non-resilient cells
+/// cross the socket too.
 class WireHarness {
  public:
   struct Options {

@@ -282,10 +282,6 @@ Result<std::vector<LogStore::Record>> LogStore::ReadPageRecords(
 Result<Bytes> LogStore::Get(const std::string& key) {
   obs::TraceSpan span(obs::kChildOnly, "storage", "get", key);
   obs::ScopedTimer timer(&metrics_.get_us);
-  std::unique_lock<std::mutex> serial;
-  if (options_.serialize_ops) {
-    serial = std::unique_lock<std::mutex>(serial_mu_);
-  }
 
   sync::EpochGuard guard(epochs_);
   LiveIndex* idx = index_.load(std::memory_order_acquire);
@@ -418,10 +414,6 @@ Status LogStore::ScanAllLocked(
 
 Status LogStore::ScanAll(
     const std::function<void(const std::string&, const Bytes&)>& fn) {
-  std::unique_lock<std::mutex> serial;
-  if (options_.serialize_ops) {
-    serial = std::unique_lock<std::mutex>(serial_mu_);
-  }
   std::lock_guard<std::mutex> io(io_mu_);
   return ScanAllLocked(fn);
 }
@@ -525,10 +517,6 @@ Status LogStore::Put(const std::string& key, const Bytes& value) {
   obs::TraceSpan span(obs::kChildOnly, "storage", "put", key);
   obs::ScopedTimer timer(&metrics_.append_us);
   if (key.empty()) return Status::InvalidArgument("empty key");
-  std::unique_lock<std::mutex> serial;
-  if (options_.serialize_ops) {
-    serial = std::unique_lock<std::mutex>(serial_mu_);
-  }
   uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   Status status = Append(Record{key, value, seq, false},
                          /*count_as_user_write=*/true, /*io_locked=*/false);
@@ -539,10 +527,6 @@ Status LogStore::Put(const std::string& key, const Bytes& value) {
 Status LogStore::Delete(const std::string& key) {
   obs::ScopedTimer timer(&metrics_.append_us);
   if (key.empty()) return Status::InvalidArgument("empty key");
-  std::unique_lock<std::mutex> serial;
-  if (options_.serialize_ops) {
-    serial = std::unique_lock<std::mutex>(serial_mu_);
-  }
   uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   Status status = Append(Record{key, {}, seq, true},
                          /*count_as_user_write=*/true, /*io_locked=*/false);
@@ -551,10 +535,6 @@ Status LogStore::Delete(const std::string& key) {
 }
 
 Status LogStore::Flush() {
-  std::unique_lock<std::mutex> serial;
-  if (options_.serialize_ops) {
-    serial = std::unique_lock<std::mutex>(serial_mu_);
-  }
   std::lock_guard<std::mutex> io(io_mu_);
   return FlushLocked();
 }
@@ -886,10 +866,6 @@ Status LogStore::Recover() {
 }
 
 Status LogStore::CompactAll() {
-  std::unique_lock<std::mutex> serial;
-  if (options_.serialize_ops) {
-    serial = std::unique_lock<std::mutex>(serial_mu_);
-  }
   std::lock_guard<std::mutex> io(io_mu_);
   std::vector<std::pair<std::string, Bytes>> live;
   TC_RETURN_IF_ERROR(

@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "tc/cell/cell.h"
 #include "tc/cloud/fault_injector.h"
@@ -29,6 +31,7 @@ namespace tc {
 namespace {
 
 using cloud::CloudInfrastructure;
+using cloud::FaultDecision;
 using cloud::NetworkFaultConfig;
 using cloud::NetworkFaultInjector;
 using fleet::FleetOptions;
@@ -301,6 +304,38 @@ class CellChaosTest : public ::testing::Test {
     return std::move(*cell);
   }
 
+  /// Requests the RpcServer served (0 on the in-process leg).
+  uint64_t ServerRequests() {
+    return wire_->server() != nullptr ? wire_->server()->stats().requests : 0;
+  }
+  /// Under TC_TRANSPORT=socket, the cell traffic since `before` crossed
+  /// the wire — resilient or not, a cell honours Config::transport.
+  void ExpectTrafficCrossedWire(uint64_t before) {
+    if (wire_->server() != nullptr) {
+      EXPECT_GT(ServerRequests(), before);
+    }
+  }
+  /// Injector whose `ordinal`-th attempt executes but loses its ack, with
+  /// every later attempt refused by an outage: the op in flight applies
+  /// once, then fails transiently.
+  static std::unique_ptr<NetworkFaultInjector> AckLostThenOutage(
+      uint64_t ordinal) {
+    std::vector<FaultDecision> schedule(1);
+    schedule[0].ordinal = ordinal;
+    schedule[0].drop_ack = true;
+    for (uint64_t next = ordinal + 1; next <= ordinal + 500; ++next) {
+      schedule.emplace_back();
+      schedule.back().ordinal = next;
+      schedule.back().outage = true;
+    }
+    return NetworkFaultInjector::FromSchedule(schedule);
+  }
+  void ExpectStoreInvariant() {
+    const cloud::BlobStore& store = cloud_.blob_store();
+    EXPECT_EQ(store.versions_created(),
+              store.tokens_applied() + store.txn_writes_applied());
+  }
+
   SimulatedClock clock_;
   NetworkFaultInjector injector_{NetworkFaultConfig{}};  // Clean by default.
   cloud::CloudInfrastructure cloud_;
@@ -357,15 +392,105 @@ TEST_F(CellChaosTest, PartitionedCellKeepsWorkingAndCatchesUp) {
   // The drained state is real provider state: a sibling cell of the same
   // owner syncs it down and opens the payload.
   auto phone = MakeCell("alice-phone", /*resilient=*/false);
+  const uint64_t requests_before = ServerRequests();
   ASSERT_TRUE(phone->SyncPull().ok());
   auto on_phone = phone->FetchDocument(*doc_id);
   ASSERT_TRUE(on_phone.ok()) << on_phone.status().ToString();
   EXPECT_EQ(*on_phone, ToBytes("amended body"));
+  ExpectTrafficCrossedWire(requests_before);
 
   // No duplicate side-effects despite the deferred/replayed pushes.
-  EXPECT_EQ(cloud_.blob_store().versions_created(),
-            cloud_.blob_store().tokens_applied() +
-                cloud_.blob_store().txn_writes_applied());
+  ExpectStoreInvariant();
+}
+
+TEST_F(CellChaosTest, NonResilientCellHonoursTheInjector) {
+  // A cell without resilient_sync crosses the same faulty edge: an outage
+  // fails each store with the transient status (no outbox to defer to),
+  // and a lossy network is retried through exactly-once.
+  auto phone = MakeCell("alice-phone", /*resilient=*/false);
+  policy::Policy policy = cell::MakeOwnerPolicy("alice");
+  const uint64_t requests_before = ServerRequests();
+
+  // Past the breaker's default threshold, every call still probes the
+  // provider: without an outbox the circuit never latches.
+  injector_.ForceOutage(true);
+  const uint32_t calls = net::ChannelOptions{}.breaker.failure_threshold + 2;
+  for (uint32_t i = 0; i < calls; ++i) {
+    const uint64_t rejections = injector_.stats().outage_rejections;
+    auto lost = phone->StoreDocument("note", "todo", ToBytes("body"), policy);
+    ASSERT_FALSE(lost.ok());
+    EXPECT_TRUE(lost.status().IsTransient() ||
+                lost.status().IsDeadlineExceeded())
+        << lost.status().ToString();
+    EXPECT_GT(injector_.stats().outage_rejections, rejections);
+  }
+  EXPECT_FALSE(phone->degraded());
+  EXPECT_FALSE(phone->net_channel()->degraded());
+  EXPECT_EQ(phone->outbox_pending(), 0u);
+  EXPECT_EQ(cloud_.blob_store().versions_created(), 0u);
+
+  // Healed, the very next call goes through.
+  injector_.ForceOutage(false);
+  auto stored = phone->StoreDocument("note", "todo", ToBytes("body"), policy);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+
+  NetworkFaultInjector lossy(NetworkFaultConfig::Lossy(0.3, 77));
+  cloud_.set_fault_injector(&lossy);
+  std::map<std::string, Bytes> bodies = {{*stored, ToBytes("body")}};
+  for (int i = 0; i < 10; ++i) {
+    Bytes body = ToBytes("body" + std::to_string(i));
+    auto doc_id = phone->StoreDocument("doc" + std::to_string(i), "chaos",
+                                       body, policy);
+    if (doc_id.ok()) {
+      bodies[*doc_id] = body;
+    } else {
+      EXPECT_TRUE(doc_id.status().IsTransient() ||
+                  doc_id.status().IsDeadlineExceeded())
+          << doc_id.status().ToString();
+    }
+  }
+  cloud_.set_fault_injector(&injector_);
+  EXPECT_GT(lossy.stats().faults(), 0u);
+  ASSERT_GT(bodies.size(), 1u);
+  ASSERT_TRUE(phone->SyncPush().ok());
+  for (const auto& [doc_id, body] : bodies) {
+    auto fetched = phone->FetchDocument(doc_id);
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+    EXPECT_EQ(*fetched, body) << doc_id;
+  }
+  ExpectTrafficCrossedWire(requests_before);
+  ExpectStoreInvariant();
+}
+
+TEST_F(CellChaosTest, NonResilientRetryAfterLostAckKeepsNewContent) {
+  // A push that applied with its ack lost (then an outage until the
+  // channel gave up) fails the call without using up its doc number or
+  // version. The caller's next call reuses them with new bytes; it must
+  // not be answered from the lost push's token.
+  auto phone = MakeCell("alice-phone", /*resilient=*/false);
+  policy::Policy policy = cell::MakeOwnerPolicy("alice");
+
+  auto applied_then_cut = AckLostThenOutage(/*ordinal=*/1);
+  cloud_.set_fault_injector(applied_then_cut.get());
+  auto lost = phone->StoreDocument("draft", "todo", ToBytes("first"), policy);
+  ASSERT_FALSE(lost.ok());
+  EXPECT_EQ(cloud_.blob_store().versions_created(), 1u);
+  cloud_.set_fault_injector(&injector_);
+  auto doc_id = phone->StoreDocument("final", "todo", ToBytes("second"),
+                                     policy);
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+  EXPECT_EQ(*phone->FetchDocument(*doc_id), ToBytes("second"));
+
+  applied_then_cut = AckLostThenOutage(/*ordinal=*/1);
+  cloud_.set_fault_injector(applied_then_cut.get());
+  const uint64_t versions_before = cloud_.blob_store().versions_created();
+  Status updated = phone->UpdateDocument(*doc_id, ToBytes("third"));
+  ASSERT_FALSE(updated.ok());
+  EXPECT_EQ(cloud_.blob_store().versions_created(), versions_before + 1);
+  cloud_.set_fault_injector(&injector_);
+  ASSERT_TRUE(phone->UpdateDocument(*doc_id, ToBytes("fourth")).ok());
+  EXPECT_EQ(*phone->FetchDocument(*doc_id), ToBytes("fourth"));
+  ExpectStoreInvariant();
 }
 
 TEST_F(CellChaosTest, OutboxSurvivesLossyNetwork) {
@@ -397,9 +522,7 @@ TEST_F(CellChaosTest, OutboxSurvivesLossyNetwork) {
     EXPECT_EQ(*gateway->FetchDocument(doc_ids[i]),
               ToBytes("body" + std::to_string(i)));
   }
-  EXPECT_EQ(cloud_.blob_store().versions_created(),
-            cloud_.blob_store().tokens_applied() +
-                cloud_.blob_store().txn_writes_applied());
+  ExpectStoreInvariant();
 }
 
 }  // namespace

@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <time.h>
+
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "tc/cloud/infrastructure.h"
+#include "tc/common/overload.h"
+#include "tc/obs/telemetry.h"
 
 namespace tc::cloud {
 namespace {
@@ -152,6 +160,15 @@ TEST(BlobStoreTest, TokenEvictionReDeliveryStaysConvergent) {
             store.tokens_applied() + store.txn_writes_applied());
 }
 
+/// Stores one blob through the provider edge under a fresh token.
+void PutOne(CloudInfrastructure& cloud, const std::string& id,
+            const Bytes& data) {
+  static uint64_t next_token = 0;
+  auto outcome = cloud.PutBlobBatchRpc(
+      {{id, data}}, {"test/put" + std::to_string(++next_token)});
+  EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+}
+
 TEST(CloudTest, HonestMessaging) {
   CloudInfrastructure cloud;
   cloud.Send("alice", "bob", "greeting", ToBytes("hi"));
@@ -172,7 +189,7 @@ TEST(CloudTest, HonestMessaging) {
 TEST(CloudTest, HonestBlobsAreFaithful) {
   CloudInfrastructure cloud;
   Bytes data = ToBytes("sealed payload");
-  cloud.PutBlob("x", data);
+  PutOne(cloud, "x", data);
   EXPECT_EQ(*cloud.GetBlob("x"), data);
   EXPECT_TRUE(cloud.BlobExists("x"));
   EXPECT_EQ(cloud.adversary_stats().reads_tampered, 0u);
@@ -183,7 +200,7 @@ TEST(CloudTest, TamperingAdversaryCorruptsReads) {
   adversary.tamper_read_prob = 1.0;
   CloudInfrastructure cloud(adversary);
   Bytes data(100, 0x55);
-  cloud.PutBlob("x", data);
+  PutOne(cloud, "x", data);
   Bytes read = *cloud.GetBlob("x");
   EXPECT_NE(read, data);
   EXPECT_EQ(cloud.adversary_stats().reads_tampered, 1u);
@@ -197,14 +214,14 @@ TEST(CloudTest, RollbackAdversaryServesStaleVersions) {
   AdversaryConfig adversary;
   adversary.rollback_read_prob = 1.0;
   CloudInfrastructure cloud(adversary);
-  cloud.PutBlob("x", ToBytes("v1"));
-  cloud.PutBlob("x", ToBytes("v2"));
-  cloud.PutBlob("x", ToBytes("v3"));
+  PutOne(cloud, "x", ToBytes("v1"));
+  PutOne(cloud, "x", ToBytes("v2"));
+  PutOne(cloud, "x", ToBytes("v3"));
   Bytes read = *cloud.GetBlob("x");
   EXPECT_NE(read, ToBytes("v3"));
   EXPECT_GE(cloud.adversary_stats().reads_rolled_back, 1u);
   // Single-version blobs cannot be rolled back.
-  cloud.PutBlob("y", ToBytes("only"));
+  PutOne(cloud, "y", ToBytes("only"));
   EXPECT_EQ(*cloud.GetBlob("y"), ToBytes("only"));
 }
 
@@ -249,7 +266,7 @@ TEST(CloudTest, AdversaryIsDeterministicForAFixedSeed) {
     Rng workload(5);
     for (int i = 0; i < 500; ++i) {
       std::string key = "k" + std::to_string(workload.NextBelow(8));
-      cloud.PutBlob(key, workload.NextBytes(24));
+      PutOne(cloud, key, workload.NextBytes(24));
       (void)cloud.GetBlob(key);
       std::string to = "cell" + std::to_string(workload.NextBelow(4));
       cloud.Send("sender", to, "t", workload.NextBytes(8));
@@ -274,12 +291,456 @@ TEST(CloudTest, ProbabilisticAdversaryRatesRoughlyMatch) {
   adversary.tamper_read_prob = 0.2;
   adversary.seed = 11;
   CloudInfrastructure cloud(adversary);
-  cloud.PutBlob("x", Bytes(64, 1));
+  PutOne(cloud, "x", Bytes(64, 1));
   const int n = 2000;
   for (int i = 0; i < n; ++i) (void)cloud.GetBlob("x");
   double rate =
       static_cast<double>(cloud.adversary_stats().reads_tampered) / n;
   EXPECT_NEAR(rate, 0.2, 0.04);
+}
+
+
+// ---- Edge table: every provider edge op x every fault class ----
+//
+// One row per (edge op, fault class): the returned code, the store or hub
+// side effect, the injected delay handed back and the fault ordinal. The
+// rows pin the per-op differences of the provider's fault/overload
+// envelope: reads treat a lost reply as a lost request, atomic ops degrade
+// a torn batch to a lost request, a network duplicate is re-applied for
+// put batches and reports (and for commits only when they committed), and
+// the telemetry scrape runs critical without burning CPU.
+
+enum class Fault {
+  kClean,
+  kOutage,
+  kThrottle,
+  kDropRequest,
+  kDropAck,
+  kDuplicate,
+  kTorn,
+  kSlowOp,
+  kExpiredDeadline,
+  kAdmissionReject,
+};
+constexpr Fault kAllFaults[] = {
+    Fault::kClean,       Fault::kOutage,    Fault::kThrottle,
+    Fault::kDropRequest, Fault::kDropAck,   Fault::kDuplicate,
+    Fault::kTorn,        Fault::kSlowOp,    Fault::kExpiredDeadline,
+    Fault::kAdmissionReject,
+};
+
+const char* FaultName(Fault fault) {
+  switch (fault) {
+    case Fault::kClean: return "clean";
+    case Fault::kOutage: return "outage";
+    case Fault::kThrottle: return "throttle";
+    case Fault::kDropRequest: return "drop_request";
+    case Fault::kDropAck: return "drop_ack";
+    case Fault::kDuplicate: return "duplicate";
+    case Fault::kTorn: return "torn";
+    case Fault::kSlowOp: return "slow_op";
+    case Fault::kExpiredDeadline: return "expired_deadline";
+    case Fault::kAdmissionReject: return "admission_reject";
+  }
+  return "?";
+}
+
+constexpr uint32_t kEdgeDelayUs = 70;
+constexpr size_t kBatchItems = 4;
+constexpr double kTornLoss = 0.5;
+
+/// Per-item keep mask a torn batch with `seed` applies (the provider draws
+/// one Bernoulli(loss) per item from the decision's item seed).
+std::vector<uint8_t> TornKeep(uint64_t seed) {
+  std::vector<uint8_t> keep;
+  Rng item_rng(seed);
+  for (size_t i = 0; i < kBatchItems; ++i) {
+    keep.push_back(item_rng.NextBernoulli(kTornLoss) ? 0 : 1);
+  }
+  return keep;
+}
+
+/// First item seed that tears a batch partially (some items kept, some
+/// lost), so the torn row exercises both halves.
+uint64_t TornSeed() {
+  for (uint64_t seed = 1;; seed += 2) {
+    std::vector<uint8_t> keep = TornKeep(seed);
+    size_t kept = std::count(keep.begin(), keep.end(), 1);
+    if (kept > 0 && kept < kBatchItems) return seed;
+  }
+}
+// Large enough that a burning op's thread CPU can never be mistaken for a
+// non-burning op's own work.
+constexpr uint32_t kBurnUs = 20000;
+
+uint64_t ThreadCpuUs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000 +
+         static_cast<uint64_t>(ts.tv_nsec) / 1000;
+}
+
+/// One edge call under one fault class. Attaches a replay injector whose
+/// only decision is ordinal 1 (every non-clean class also carries a
+/// delay, so its delay and ordinal must come back), a one-slot admission
+/// controller (held by the test for the admission case), and arms an
+/// already-expired deadline for the deadline case.
+class EdgeCase {
+ public:
+  EdgeCase(CloudInfrastructure* cloud, Fault fault)
+      : cloud_(cloud), fault_(fault), admission_(OneSlot()) {
+    std::vector<FaultDecision> schedule;
+    if (fault != Fault::kClean) {
+      FaultDecision d;
+      d.ordinal = 1;
+      d.delay_us = kEdgeDelayUs;
+      d.outage = fault == Fault::kOutage;
+      d.throttled = fault == Fault::kThrottle;
+      d.drop_request = fault == Fault::kDropRequest;
+      d.drop_ack = fault == Fault::kDropAck;
+      d.duplicate = fault == Fault::kDuplicate;
+      if (fault == Fault::kTorn) {
+        d.item_seed = TornSeed();
+        d.item_loss = kTornLoss;
+      }
+      if (fault == Fault::kSlowOp) d.cpu_burn_us = kBurnUs;
+      schedule.push_back(d);
+    }
+    injector_ = NetworkFaultInjector::FromSchedule(schedule);
+    cloud_->set_fault_injector(injector_.get());
+    cloud_->set_admission_controller(&admission_);
+    if (fault == Fault::kAdmissionReject) {
+      EXPECT_TRUE(admission_.TryAcquire(Criticality::kNormal));
+    }
+  }
+  ~EdgeCase() {
+    if (fault_ == Fault::kAdmissionReject) admission_.Release(0);
+    cloud_->set_admission_controller(nullptr);
+    cloud_->set_fault_injector(nullptr);
+  }
+
+  template <typename Call>
+  auto Run(const Call& call) {
+    OverloadContext ctx;
+    if (fault_ == Fault::kExpiredDeadline) {
+      ctx.budget_us = 1;
+      ctx.armed_at_us = 1;  // Armed long ago: already expired.
+    }
+    ScopedOverloadContext scope(ctx);
+    const uint64_t cpu_before = ThreadCpuUs();
+    auto result = call();
+    cpu_us_ = ThreadCpuUs() - cpu_before;
+    retry_after_us_ = TakeRetryAfterHint();
+    return result;
+  }
+
+  /// Expectations every op shares: exactly one draw, tagged with `op`;
+  /// the retry-after hint only on an admission rejection.
+  void ExpectDraw(NetOp op, bool shed_by_admission) const {
+    EXPECT_EQ(injector_->ordinals_issued(), 1u);
+    std::vector<FaultDecision> schedule = injector_->Schedule();
+    if (fault_ == Fault::kClean) {
+      EXPECT_TRUE(schedule.empty());
+    } else {
+      ASSERT_EQ(schedule.size(), 1u);
+      EXPECT_EQ(schedule[0].op, op) << NetOpName(schedule[0].op);
+    }
+    EXPECT_EQ(retry_after_us_ != 0, shed_by_admission);
+  }
+
+  /// Whether the call burned the slow-op CPU.
+  bool burned() const { return cpu_us_ >= kBurnUs; }
+  uint32_t delay() const { return fault_ == Fault::kClean ? 0 : kEdgeDelayUs; }
+  uint64_t ordinal() const { return fault_ == Fault::kClean ? 0 : 1; }
+
+ private:
+  static AdmissionConfig OneSlot() {
+    AdmissionConfig config;
+    config.initial_limit = 1.0;
+    config.min_limit = 1.0;
+    config.max_limit = 1.0;
+    return config;
+  }
+
+  CloudInfrastructure* cloud_;
+  Fault fault_;
+  AdmissionController admission_;
+  std::unique_ptr<NetworkFaultInjector> injector_;
+  uint64_t cpu_us_ = 0;
+  uint32_t retry_after_us_ = 0;
+};
+
+/// Expected code of an op that executes unless the network or the
+/// overload gate stops it. `torn_lost` / `ack_lost` say whether the op
+/// class turns a torn batch / a lost reply into kUnavailable.
+StatusCode ExpectedCode(Fault fault, bool torn_lost, bool ack_lost,
+                        bool critical = false) {
+  switch (fault) {
+    case Fault::kOutage:
+    case Fault::kThrottle:
+    case Fault::kDropRequest:
+      return StatusCode::kUnavailable;
+    case Fault::kDropAck:
+      return ack_lost ? StatusCode::kUnavailable : StatusCode::kOk;
+    case Fault::kTorn:
+      return torn_lost ? StatusCode::kUnavailable : StatusCode::kOk;
+    case Fault::kExpiredDeadline:
+      return StatusCode::kDeadlineExceeded;
+    case Fault::kAdmissionReject:
+      return critical ? StatusCode::kOk : StatusCode::kResourceExhausted;
+    default:
+      return StatusCode::kOk;
+  }
+}
+
+/// True when the request reached the provider and executed.
+bool Executes(Fault fault, bool torn_lost, bool critical = false) {
+  switch (fault) {
+    case Fault::kOutage:
+    case Fault::kThrottle:
+    case Fault::kDropRequest:
+    case Fault::kExpiredDeadline:
+      return false;
+    case Fault::kTorn:
+      return !torn_lost;
+    case Fault::kAdmissionReject:
+      return critical;
+    default:
+      return true;
+  }
+}
+
+TEST(EdgeTableTest, PutBlobBatch) {
+  const std::vector<std::pair<std::string, Bytes>> items = {
+      {"e/a", Bytes(8, 1)}, {"e/b", Bytes(8, 2)},
+      {"e/c", Bytes(8, 3)}, {"e/d", Bytes(8, 4)}};
+  const std::vector<std::string> tokens = {"t/a", "t/b", "t/c", "t/d"};
+  ASSERT_EQ(items.size(), kBatchItems);
+  const std::vector<uint8_t> torn_keep = TornKeep(TornSeed());
+  const size_t torn_kept = std::count(torn_keep.begin(), torn_keep.end(), 1);
+
+  for (Fault fault : kAllFaults) {
+    SCOPED_TRACE(FaultName(fault));
+    CloudInfrastructure cloud;
+    EdgeCase edge(&cloud, fault);
+    auto outcome =
+        edge.Run([&] { return cloud.PutBlobBatchRpc(items, tokens); });
+    edge.ExpectDraw(NetOp::kPutBatch, fault == Fault::kAdmissionReject);
+    // A torn batch applies its surviving items and reports kUnavailable.
+    const StatusCode code = ExpectedCode(fault, true, true);
+    EXPECT_EQ(outcome.status.code(), code) << outcome.status.ToString();
+    EXPECT_EQ(outcome.delay_us, edge.delay());
+    EXPECT_EQ(outcome.fault_ordinal, edge.ordinal());
+    EXPECT_EQ(edge.burned(), fault == Fault::kSlowOp);
+
+    const BlobStore& store = cloud.blob_store();
+    size_t stored = 0;
+    if (fault == Fault::kTorn) {
+      stored = torn_kept;
+    } else if (Executes(fault, true)) {
+      stored = items.size();
+    }
+    EXPECT_EQ(store.versions_created(), stored);
+    EXPECT_EQ(store.tokens_applied(), stored);
+    // The duplicate reached the provider twice; the tokens answered it.
+    EXPECT_EQ(store.token_dedupe_hits(),
+              fault == Fault::kDuplicate ? items.size() : 0u);
+    EXPECT_EQ(cloud.stats().blob_puts, stored);
+    for (size_t i = 0; i < items.size(); ++i) {
+      bool acked = code == StatusCode::kOk ||
+                   (fault == Fault::kTorn && torn_keep[i] != 0);
+      EXPECT_EQ(outcome.acked[i] != 0, acked) << i;
+      EXPECT_EQ(outcome.versions[i], acked ? 1u : 0u) << i;
+    }
+  }
+}
+
+TEST(EdgeTableTest, GetBlob) {
+  for (Fault fault : kAllFaults) {
+    SCOPED_TRACE(FaultName(fault));
+    CloudInfrastructure cloud;
+    cloud.blob_store().Put("e/x", ToBytes("payload"));
+    EdgeCase edge(&cloud, fault);
+    uint32_t delay_us = 12345;
+    auto got = edge.Run([&] { return cloud.GetBlobRpc("e/x", &delay_us); });
+    edge.ExpectDraw(NetOp::kGet, fault == Fault::kAdmissionReject);
+    // A torn decision has no items to tear on a read: it executes.
+    EXPECT_EQ(got.status().code(), ExpectedCode(fault, false, true))
+        << got.status().ToString();
+    if (got.ok()) {
+      EXPECT_EQ(*got, ToBytes("payload"));
+    }
+    EXPECT_EQ(delay_us, edge.delay());
+    EXPECT_EQ(edge.burned(), fault == Fault::kSlowOp);
+    EXPECT_EQ(cloud.stats().blob_gets, got.ok() ? 1u : 0u);
+  }
+}
+
+TEST(EdgeTableTest, GetSnapshot) {
+  for (Fault fault : kAllFaults) {
+    SCOPED_TRACE(FaultName(fault));
+    CloudInfrastructure cloud;
+    cloud.blob_store().Put("e/x", ToBytes("payload"));
+    EdgeCase edge(&cloud, fault);
+    uint32_t delay_us = 12345;
+    auto snap = edge.Run([&] { return cloud.GetSnapshotRpc(&delay_us); });
+    edge.ExpectDraw(NetOp::kGet, fault == Fault::kAdmissionReject);
+    EXPECT_EQ(snap.status().code(), ExpectedCode(fault, false, true))
+        << snap.status().ToString();
+    if (snap.ok()) {
+      EXPECT_EQ(snap->base_seq, cloud.blob_store().Snapshot().base_seq);
+    }
+    EXPECT_EQ(delay_us, edge.delay());
+    EXPECT_EQ(edge.burned(), fault == Fault::kSlowOp);
+    EXPECT_EQ(cloud.stats().blob_gets, 0u);
+  }
+}
+
+TEST(EdgeTableTest, GetBlobAtSnapshot) {
+  for (Fault fault : kAllFaults) {
+    SCOPED_TRACE(FaultName(fault));
+    CloudInfrastructure cloud;
+    cloud.blob_store().Put("e/x", ToBytes("payload"));
+    const SnapshotDescriptor snap = cloud.blob_store().Snapshot();
+    EdgeCase edge(&cloud, fault);
+    uint32_t delay_us = 12345;
+    auto read = edge.Run(
+        [&] { return cloud.GetBlobAtSnapshotRpc("e/x", snap, &delay_us); });
+    edge.ExpectDraw(NetOp::kGet, fault == Fault::kAdmissionReject);
+    EXPECT_EQ(read.status().code(), ExpectedCode(fault, false, true))
+        << read.status().ToString();
+    if (read.ok()) {
+      EXPECT_EQ(read->version, 1u);
+      EXPECT_EQ(read->data, ToBytes("payload"));
+    }
+    EXPECT_EQ(delay_us, edge.delay());
+    EXPECT_EQ(edge.burned(), fault == Fault::kSlowOp);
+    EXPECT_EQ(cloud.stats().blob_gets, read.ok() ? 1u : 0u);
+  }
+}
+
+TxnRequest BlindTxn() {
+  TxnRequest req;
+  req.token = "edge/txn";
+  req.writes.push_back({"e/k1", Bytes(4, 1), kBaseVersionAny});
+  req.writes.push_back({"e/k2", Bytes(4, 2), kBaseVersionAny});
+  return req;
+}
+
+TEST(EdgeTableTest, CommitTxn) {
+  for (Fault fault : kAllFaults) {
+    SCOPED_TRACE(FaultName(fault));
+    CloudInfrastructure cloud;
+    const TxnRequest req = BlindTxn();
+    EdgeCase edge(&cloud, fault);
+    TxnOutcome outcome = edge.Run([&] { return cloud.CommitTxnRpc(req); });
+    edge.ExpectDraw(NetOp::kTxnCommit, fault == Fault::kAdmissionReject);
+    // A commit is atomic: a torn decision is a lost request.
+    const StatusCode code = ExpectedCode(fault, true, true);
+    EXPECT_EQ(outcome.status.code(), code) << outcome.status.ToString();
+    EXPECT_EQ(outcome.committed, code == StatusCode::kOk);
+    EXPECT_EQ(outcome.delay_us, edge.delay());
+    EXPECT_EQ(outcome.fault_ordinal, edge.ordinal());
+    EXPECT_EQ(edge.burned(), fault == Fault::kSlowOp);
+
+    const BlobStore& store = cloud.blob_store();
+    const bool applied = Executes(fault, true);
+    EXPECT_EQ(store.txn_writes_applied(), applied ? 2u : 0u);
+    EXPECT_EQ(store.versions_created(), applied ? 2u : 0u);
+    EXPECT_EQ(store.txns_committed(), applied ? 1u : 0u);
+    // The committed duplicate is answered from the txn-token table.
+    EXPECT_EQ(store.txn_replays(), fault == Fault::kDuplicate ? 1u : 0u);
+    EXPECT_EQ(cloud.stats().txn_commits, applied ? 1u : 0u);
+  }
+}
+
+TEST(EdgeTableTest, DuplicateOfAnAbortedCommitIsNotRedelivered) {
+  for (Fault fault : {Fault::kClean, Fault::kDuplicate}) {
+    SCOPED_TRACE(FaultName(fault));
+    CloudInfrastructure cloud;
+    cloud.blob_store().Put("e/k1", ToBytes("v1"));
+    cloud.blob_store().Put("e/k1", ToBytes("v2"));
+    TxnRequest req;
+    req.token = "edge/stale";
+    req.writes.push_back({"e/k1", ToBytes("mine"), 1});  // Stale base.
+    EdgeCase edge(&cloud, fault);
+    TxnOutcome outcome = edge.Run([&] { return cloud.CommitTxnRpc(req); });
+    EXPECT_TRUE(outcome.status.IsAborted()) << outcome.status.ToString();
+    EXPECT_EQ(cloud.blob_store().txns_aborted(), 1u);
+    EXPECT_EQ(cloud.stats().txn_aborts, 1u);
+    EXPECT_EQ(outcome.delay_us, edge.delay());
+    EXPECT_EQ(outcome.fault_ordinal, edge.ordinal());
+  }
+}
+
+obs::TelemetryFrame EdgeFrame() {
+  obs::TelemetryFrame frame;
+  frame.source = "edge/cell";
+  frame.seq = 1;
+  frame.delta.counters["edge.ops"] = 3;
+  return frame;
+}
+
+template <typename Report>
+void ExpectReportRows(const Report& report) {
+  for (Fault fault : kAllFaults) {
+    SCOPED_TRACE(FaultName(fault));
+    CloudInfrastructure cloud;
+    EdgeCase edge(&cloud, fault);
+    uint32_t delay_us = 12345;
+    obs::TelemetryHub::ReportOutcome outcome =
+        edge.Run([&] { return report(&cloud, &delay_us); });
+    edge.ExpectDraw(NetOp::kTelemetry, fault == Fault::kAdmissionReject);
+    // A frame is atomic: a torn decision is a lost request.
+    const StatusCode code = ExpectedCode(fault, true, true);
+    EXPECT_EQ(outcome.status.code(), code) << outcome.status.ToString();
+    EXPECT_EQ(outcome.applied, code == StatusCode::kOk);
+    EXPECT_FALSE(outcome.duplicate);
+    EXPECT_EQ(delay_us, edge.delay());
+    EXPECT_EQ(edge.burned(), fault == Fault::kSlowOp);
+
+    const obs::TelemetryHub::Stats hub = cloud.telemetry_hub().stats();
+    EXPECT_EQ(hub.applied, Executes(fault, true) ? 1u : 0u);
+    // The network duplicate reached the hub twice; dedup answered it.
+    EXPECT_EQ(hub.duplicates, fault == Fault::kDuplicate ? 1u : 0u);
+  }
+}
+
+TEST(EdgeTableTest, ReportTelemetryEncoded) {
+  const Bytes encoded = obs::EncodeTelemetryFrame(EdgeFrame());
+  ExpectReportRows([&](CloudInfrastructure* cloud, uint32_t* delay_us) {
+    return cloud->ReportTelemetryRpc(encoded, delay_us);
+  });
+}
+
+TEST(EdgeTableTest, ReportTelemetryFrame) {
+  const obs::TelemetryFrame frame = EdgeFrame();
+  ExpectReportRows([&](CloudInfrastructure* cloud, uint32_t* delay_us) {
+    return cloud->ReportTelemetryRpc(frame, delay_us);
+  });
+}
+
+TEST(EdgeTableTest, ScrapeTelemetry) {
+  for (Fault fault : kAllFaults) {
+    SCOPED_TRACE(FaultName(fault));
+    CloudInfrastructure cloud;
+    EdgeCase edge(&cloud, fault);
+    uint32_t delay_us = 12345;
+    auto json = edge.Run([&] { return cloud.ScrapeTelemetryRpc(&delay_us); });
+    // A scrape is admission-critical: never turned away by the controller
+    // it observes, so it leaves no retry-after hint either.
+    edge.ExpectDraw(NetOp::kTelemetry, false);
+    EXPECT_EQ(json.status().code(),
+              ExpectedCode(fault, false, true, /*critical=*/true))
+        << json.status().ToString();
+    if (json.ok()) {
+      EXPECT_FALSE(json->empty());
+    }
+    EXPECT_EQ(delay_us, edge.delay());
+    // Health scrapes never burn the slow-op CPU.
+    EXPECT_FALSE(edge.burned());
+    EXPECT_EQ(cloud.telemetry_hub().stats().reports, 0u);
+  }
 }
 
 }  // namespace

@@ -167,7 +167,11 @@ TEST(CloudConcurrencyTest, MixedOpsKeepVersionsMonotonicAndStatsExact) {
           // detectable by exact content comparison afterwards.
           Bytes payload = ToBytes("t" + std::to_string(t) + "/op" +
                                   std::to_string(op));
-          uint64_t version = cloud.PutBlob(key, payload);
+          // The payload doubles as the write's unique idempotency token.
+          auto put = cloud.PutBlobBatchRpc({{key, payload}},
+                                           {ToString(payload)});
+          ASSERT_TRUE(put.status.ok()) << put.status.ToString();
+          uint64_t version = put.versions[0];
           // Per-key monotonicity, observed from one thread: every ack this
           // thread receives for a key must exceed its previous ack.
           auto [it, inserted] = my_latest.try_emplace(key, version);

@@ -22,6 +22,7 @@
 #include "tc/storage/log_store.h"
 #include "tc/storage/page_transform.h"
 #include "tc/sync/epoch.h"
+#include "tc/testing/serialized_log_store.h"
 
 namespace tc {
 namespace {
@@ -393,16 +394,14 @@ TEST(LogStoreLockFreeTest, EightReadersSurvivePageRetirementChurn) {
   EXPECT_GT(store.stats().gc_runs.load(), 0u);
 }
 
-// The serialize_ops baseline (bench_e17's mutex comparator) must be
+// The serialized baseline (bench_e17's mutex comparator) must be
 // functionally identical to the lock-free path.
 TEST(LogStoreLockFreeTest, SerializeOpsBaselineMatches) {
   FlashDevice device(TinyGeometry());
   PlainPageTransform plain;
-  LogStoreOptions options;
-  options.serialize_ops = true;
-  auto opened = LogStore::Open(&device, &plain, options);
+  auto opened = LogStore::Open(&device, &plain, LogStoreOptions{});
   ASSERT_TRUE(opened.ok());
-  LogStore& store = **opened;
+  tc::testing::SerializedLogStore store(opened->get());
   for (int i = 0; i < 100; ++i) {
     std::string key = "k" + std::to_string(i % 10);
     ASSERT_TRUE(store.Put(key, Bytes(32, static_cast<uint8_t>(i))).ok());

@@ -465,14 +465,17 @@ TEST(ChannelTxnTest, LossyNetworkCommitsExactlyOncePerToken) {
 TEST(ChannelTxnTest, AbortIsDefinitiveAndDoesNotTripBreaker) {
   SKIP_IF_WIRE_LEG_IMPOSSIBLE();
   cloud::CloudInfrastructure cloud;
-  cloud.PutBlob("k", ToBytes("v1"));
+  ASSERT_TRUE(
+      cloud.PutBlobBatchRpc({{"k", ToBytes("v1")}}, {"w/1"}).status.ok());
   rpc::WireHarness wire(&cloud);
   auto channel_ptr = MakeChannel(&cloud, wire, "cell-1");
   net::ResilientChannel& channel = *channel_ptr;
 
   auto snap = channel.GetSnapshot();
   ASSERT_TRUE(snap.ok());
-  cloud.PutBlob("k", ToBytes("v2"));  // Concurrent writer wins.
+  // Concurrent writer wins.
+  ASSERT_TRUE(
+      cloud.PutBlobBatchRpc({{"k", ToBytes("v2")}}, {"w/2"}).status.ok());
 
   TxnRequest req = MakeTxn("stale-txn", *snap);
   req.reads.push_back({"k", 1});
@@ -520,12 +523,24 @@ class CellTxnTest : public ::testing::Test {
     return std::move(*cell);
   }
 
-  /// Token-accounting invariant — valid only when every put in the run
-  /// was idempotent (resilient cells); direct PutBlob is tokenless.
+  /// Token-accounting invariant: every cell put is tokened, every commit
+  /// is a txn write, so each stored version is accounted exactly once.
   void ExpectStoreInvariant() {
     const BlobStore& store = cloud_.blob_store();
     EXPECT_EQ(store.versions_created(),
               store.tokens_applied() + store.txn_writes_applied());
+  }
+
+  /// Requests the RpcServer served (0 on the in-process leg).
+  uint64_t ServerRequests() {
+    return wire_->server() != nullptr ? wire_->server()->stats().requests : 0;
+  }
+  /// Under TC_TRANSPORT=socket, the cell traffic since `before` crossed
+  /// the wire — resilient or not, a cell honours Config::transport.
+  void ExpectTrafficCrossedWire(uint64_t before) {
+    if (wire_->server() != nullptr) {
+      EXPECT_GT(ServerRequests(), before);
+    }
   }
 
   SimulatedClock clock_;
@@ -541,6 +556,7 @@ TEST_F(CellTxnTest, AtomicUpdatePublishesDataAndManifestTogether) {
   auto gateway = MakeCell("alice-gateway", /*resilient=*/false);
   auto tablet = MakeCell("alice-tablet", /*resilient=*/false);
   policy::Policy policy = cell::MakeOwnerPolicy("alice");
+  const uint64_t requests_before = ServerRequests();
 
   auto doc_id = gateway->StoreDocument("will", "estate legal",
                                        ToBytes("first draft"), policy);
@@ -562,10 +578,13 @@ TEST_F(CellTxnTest, AtomicUpdatePublishesDataAndManifestTogether) {
   ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
   EXPECT_EQ(*fetched, ToBytes("second draft"));
   EXPECT_EQ(tablet->GetDocumentMeta(*doc_id)->version, 2u);
+  ExpectTrafficCrossedWire(requests_before);
+  ExpectStoreInvariant();
 }
 
 TEST_F(CellTxnTest, AtomicUpdateCanRebindThePolicy) {
   auto gateway = MakeCell("alice-gateway", /*resilient=*/false);
+  const uint64_t requests_before = ServerRequests();
   policy::Policy open_policy = cell::MakeOwnerPolicy("alice");
   auto doc_id = gateway->StoreDocument("photo", "vacation",
                                        ToBytes("jpeg bytes"), open_policy);
@@ -579,6 +598,69 @@ TEST_F(CellTxnTest, AtomicUpdateCanRebindThePolicy) {
   // The rebound sticky policy still verifies: the owner read path checks
   // the policy MAC before unsealing.
   EXPECT_EQ(*gateway->FetchDocument(*doc_id), ToBytes("jpeg bytes v2"));
+  ExpectTrafficCrossedWire(requests_before);
+  ExpectStoreInvariant();
+}
+
+TEST_F(CellTxnTest, NonResilientAtomicUpdateReturnsTransientFailure) {
+  // Without resilient_sync there is no outbox: an unreachable provider is
+  // the caller's answer, and nothing reaches the store.
+  auto gateway = MakeCell("alice-gateway", /*resilient=*/false);
+  policy::Policy policy = cell::MakeOwnerPolicy("alice");
+  auto doc_id = gateway->StoreDocument("memo", "work", ToBytes("v1"), policy);
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+  const uint64_t versions_before = cloud_.blob_store().versions_created();
+
+  injector_.ForceOutage(true);
+  Status updated = gateway->UpdateDocumentAtomic(*doc_id, ToBytes("v2"));
+  EXPECT_TRUE(updated.IsTransient() || updated.IsDeadlineExceeded())
+      << updated.ToString();
+  EXPECT_FALSE(gateway->degraded());
+  EXPECT_EQ(gateway->outbox_pending(), 0u);
+  EXPECT_EQ(cloud_.blob_store().versions_created(), versions_before);
+  EXPECT_EQ(gateway->GetDocumentMeta(*doc_id)->version, 1u);
+
+  // Healed, the same update commits.
+  injector_.ForceOutage(false);
+  ASSERT_TRUE(gateway->UpdateDocumentAtomic(*doc_id, ToBytes("v2")).ok());
+  EXPECT_EQ(*gateway->FetchDocument(*doc_id), ToBytes("v2"));
+  ExpectStoreInvariant();
+}
+
+TEST_F(CellTxnTest, NonResilientAtomicRetryAfterLostAckKeepsNewContent) {
+  // The commit applies with its ack lost, then an outage outlasts the
+  // channel's retries: the call fails without using up the version. The
+  // caller's retry with new content must commit it, not replay the first.
+  auto gateway = MakeCell("alice-gateway", /*resilient=*/false);
+  policy::Policy policy = cell::MakeOwnerPolicy("alice");
+  auto doc_id = gateway->StoreDocument("memo", "work", ToBytes("v1"), policy);
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+
+  // Snapshot, two snapshot reads, then the commit (ordinal 4).
+  std::vector<cloud::FaultDecision> schedule(1);
+  schedule[0].ordinal = 4;
+  schedule[0].drop_ack = true;
+  for (uint64_t next = 5; next <= 500; ++next) {
+    schedule.emplace_back();
+    schedule.back().ordinal = next;
+    schedule.back().outage = true;
+  }
+  auto applied_then_cut = cloud::NetworkFaultInjector::FromSchedule(schedule);
+  cloud_.set_fault_injector(applied_then_cut.get());
+  const uint64_t writes_before = cloud_.blob_store().txn_writes_applied();
+  Status lost = gateway->UpdateDocumentAtomic(*doc_id, ToBytes("v2"));
+  EXPECT_TRUE(lost.IsTransient() || lost.IsDeadlineExceeded())
+      << lost.ToString();
+  EXPECT_EQ(cloud_.blob_store().txn_writes_applied(), writes_before + 2);
+  EXPECT_EQ(gateway->GetDocumentMeta(*doc_id)->version, 1u);
+
+  cloud_.set_fault_injector(&injector_);
+  ASSERT_TRUE(gateway->UpdateDocumentAtomic(*doc_id, ToBytes("v3")).ok());
+  EXPECT_EQ(*gateway->FetchDocument(*doc_id), ToBytes("v3"));
+  auto tablet = MakeCell("alice-tablet", /*resilient=*/false);
+  ASSERT_TRUE(tablet->SyncPull().ok());
+  EXPECT_EQ(*tablet->FetchDocument(*doc_id), ToBytes("v3"));
+  ExpectStoreInvariant();
 }
 
 TEST_F(CellTxnTest, PartitionedAtomicUpdateJournalsWholeTxnAndDrains) {
@@ -762,11 +844,11 @@ TEST(OutboxTxnCrashTest, JournaledTxnFullyAppliesOrFullyAbortsAfterCrash) {
       ++saw_present;
 
       // Drain it: both writes land atomically under the original token.
-      TxnRequest req = MakeTxn(record.token, cloud.GetSnapshot());
+      TxnRequest req = MakeTxn(record.token, *cloud.GetSnapshotRpc());
       for (const auto& write : record.txn_writes) {
         req.writes.push_back({write.blob_id, write.payload, kBaseVersionAny});
       }
-      TxnOutcome outcome = cloud.CommitTxn(req);
+      TxnOutcome outcome = cloud.CommitTxnRpc(req);
       ASSERT_TRUE(outcome.committed) << outcome.status.ToString();
       EXPECT_EQ(*cloud.GetBlob("space/alice/doc/1"), doc_payload);
       EXPECT_EQ(*cloud.GetBlob("space/alice/manifest"), manifest_payload);
@@ -802,11 +884,11 @@ TEST(OutboxTxnCrashTest, RedrainAfterCrashBeforeMarkDoneReplaysNotReapplies) {
   // First drain reaches the provider and commits...
   cloud::CloudInfrastructure cloud;
   const net::OutboxRecord& record = outbox.pending().begin()->second;
-  TxnRequest req = MakeTxn(record.token, cloud.GetSnapshot());
+  TxnRequest req = MakeTxn(record.token, *cloud.GetSnapshotRpc());
   for (const auto& write : record.txn_writes) {
     req.writes.push_back({write.blob_id, write.payload, kBaseVersionAny});
   }
-  TxnOutcome first = cloud.CommitTxn(req);
+  TxnOutcome first = cloud.CommitTxnRpc(req);
   ASSERT_TRUE(first.committed);
   EXPECT_FALSE(first.replayed);
 
@@ -818,7 +900,7 @@ TEST(OutboxTxnCrashTest, RedrainAfterCrashBeforeMarkDoneReplaysNotReapplies) {
 
   // The re-drain re-sends the identical request under the original token:
   // the provider replays the original outcome instead of re-applying.
-  TxnOutcome second = cloud.CommitTxn(req);
+  TxnOutcome second = cloud.CommitTxnRpc(req);
   ASSERT_TRUE(second.committed);
   EXPECT_TRUE(second.replayed);
   EXPECT_EQ(second.commit_seq, first.commit_seq);
