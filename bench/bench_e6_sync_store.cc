@@ -153,10 +153,11 @@ int main() {
       "nonce+tag)\n",
       payloads[0].size(), blob.size(), blob.size() - payloads[0].size());
   std::printf(
-      "expected shape: the cell's absolute cost (fractions of a ms per\n"
-      "document) is dominated by the software AES of the sealing path —\n"
-      "the vault does no crypto at all, so the ratio measures crypto, not\n"
-      "protocol. The functional gap is zero; the security gap is total\n"
+      "expected shape: the cell's absolute cost (tens of us per document\n"
+      "on AES-NI/SHA-NI, a few hundred us on the portable kernels) is the\n"
+      "sealing path plus the policy check and local metadata write — the\n"
+      "vault does none of it, so the ratio measures the cell's protection,\n"
+      "not protocol. The functional gap is zero; the security gap is total\n"
       "(vault: provider reads everything, cell: provider reads nothing).\n");
   return 0;
 }

@@ -3,15 +3,22 @@
 // The per-class columns of E4/E6 all bottom out in these primitives; the
 // numbers here are host-machine speeds (multiply by the DeviceProfile
 // cpu_slowdown for a device-class estimate).
+//
+// SHA-256, AES-CTR and AEAD seal run twice, side by side: on the portable
+// kernels (argument kernel:0) and on the kernels this CPU dispatched
+// (kernel:1, the path every library call takes). Each row's label names
+// the kernel that ran.
 
 #include <benchmark/benchmark.h>
 
-#include "tc/crypto/aead.h"
-#include "tc/crypto/aes_ctr.h"
+#include <string>
+
+#include "tc/crypto/aes.h"
 #include "tc/crypto/bignum.h"
 #include "tc/crypto/dh.h"
 #include "tc/crypto/group.h"
 #include "tc/crypto/hmac.h"
+#include "tc/crypto/kernels.h"
 #include "tc/crypto/merkle.h"
 #include "tc/crypto/paillier.h"
 #include "tc/crypto/schnorr.h"
@@ -21,14 +28,25 @@
 namespace tc::crypto {
 namespace {
 
+// kernel:0 = the portable kernels, kernel:1 = the dispatched ones.
+const kernels::Set& KernelArg(const benchmark::State& state) {
+  return state.range(1) == 0 ? kernels::Portable() : kernels::Dispatched();
+}
+
 void BM_Sha256(benchmark::State& state) {
+  const kernels::Set& k = KernelArg(state);
   Bytes data(state.range(0), 0xab);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256Hash(data));
+    Sha256 h(k);
+    h.Update(data);
+    benchmark::DoNotOptimize(h.Finish());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(k.sha256_name);
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(2048)->Arg(65536);
+BENCHMARK(BM_Sha256)
+    ->ArgNames({"bytes", "kernel"})
+    ->ArgsProduct({{64, 2048, 65536}, {0, 1}});
 
 void BM_HmacSha256(benchmark::State& state) {
   Bytes key(32, 1), data(state.range(0), 2);
@@ -39,23 +57,36 @@ void BM_HmacSha256(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(2048);
 
+// AesCtrCrypt on a chosen kernel: key schedule plus keystream.
 void BM_AesCtr(benchmark::State& state) {
+  const kernels::Set& k = KernelArg(state);
   Bytes key(32, 1), nonce(12, 2), data(state.range(0), 3);
+  Bytes out(data.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(*AesCtrCrypt(key, nonce, data));
+    Aes aes = *Aes::Create(key);
+    k.ctr(aes, nonce.data(), data.data(), out.data(), data.size());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(k.aes_name);
 }
-BENCHMARK(BM_AesCtr)->Arg(2048)->Arg(65536);
+BENCHMARK(BM_AesCtr)
+    ->ArgNames({"bytes", "kernel"})
+    ->ArgsProduct({{2048, 4096, 65536}, {0, 1}});
 
 void BM_AeadSeal(benchmark::State& state) {
+  const kernels::Set& k = KernelArg(state);
   Bytes key(32, 1), nonce(12, 2), aad(32, 3), data(state.range(0), 4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(*AeadSeal(key, nonce, aad, data));
+    benchmark::DoNotOptimize(*kernels::AeadSealWith(k, key, nonce, aad, data));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(std::string(k.aes_name) + "+" + k.sha256_name);
 }
-BENCHMARK(BM_AeadSeal)->Arg(2048)->Arg(65536);
+BENCHMARK(BM_AeadSeal)
+    ->ArgNames({"bytes", "kernel"})
+    ->ArgsProduct({{2048, 4096, 65536}, {0, 1}});
 
 void BM_MerkleBuild(benchmark::State& state) {
   std::vector<Bytes> leaves;

@@ -19,6 +19,10 @@
 #      shed-before-execute, gradient admission, CoDel queue aging, retry
 #      budgets) and its metastable-failure chaos suite — the label also
 #      covers the socket-transport leg proving pushback over real TCP;
+#   4d. crypto lane: the hardware AES-NI/SHA-NI kernels cross-checked
+#      against the portable oracle, plus the AEAD format freeze; prints the
+#      kernels this CPU dispatched, so a portable-only run is visible (its
+#      hardware cases skip with the reason printed);
 #   5. deep chaos/txn lane (opt-in): TC_CHAOS_SEEDS widens the fault-rate x
 #      seed sweeps, re-running only the suites labeled chaos/txn — CI keeps
 #      the cheap default, nightly jobs export TC_CHAOS_SEEDS=25;
@@ -48,6 +52,10 @@ echo "ci: telemetry lane (mergeable deltas, hub dedup, SLO burn rates)"
 (cd build && ctest --output-on-failure -L telemetry)
 echo "ci: overload lane (deadline shedding, admission, CoDel, retry budgets)"
 (cd build && ctest --output-on-failure -L overload)
+echo "ci: crypto lane (hardware kernels vs the portable oracle, format freeze)"
+(cd build && ctest --output-on-failure -L crypto)
+build/tests/crypto_kernels_test --gtest_filter='*ReportsDispatch*' |
+  grep '^crypto kernels:'
 if [ -n "${TC_CHAOS_SEEDS:-}" ]; then
   echo "ci: deep chaos/txn lane (TC_CHAOS_SEEDS=${TC_CHAOS_SEEDS})"
   (cd build && ctest --output-on-failure -L 'chaos|txn')

@@ -60,6 +60,10 @@ Result<std::pair<DocumentMeta, uint64_t>> DecodeMeta(const Bytes& data) {
 
 std::string MetaKey(const std::string& doc_id) { return "x/doc/" + doc_id; }
 
+// Durable doc-number ceiling: every number below it may already be in use.
+constexpr char kDocNumberKey[] = "x/next-doc";
+constexpr uint64_t kDocNumberBatch = 64;
+
 storage::FlashGeometry DefaultGeometry(const tee::DeviceProfile& profile) {
   storage::FlashGeometry geo;
   geo.page_size = 2048;
@@ -221,7 +225,11 @@ Status TrustedCell::Init() {
   const tee::DeviceProfile& profile = tee_->profile();
   storage::FlashGeometry geo =
       config_.use_default_flash ? DefaultGeometry(profile) : config_.flash;
-  flash_ = std::make_unique<storage::FlashDevice>(geo);
+  storage::FlashDevice* flash = config_.flash_device;
+  if (flash == nullptr) {
+    flash_ = std::make_unique<storage::FlashDevice>(geo);
+    flash = flash_.get();
+  }
   transform_ = std::make_unique<storage::EncryptedPageTransform>(
       tee_.get(), "storage-root");
   storage::LogStoreOptions store_options;
@@ -232,7 +240,7 @@ Status TrustedCell::Init() {
   // refuses to open.
   store_options.max_recovery_skips = geo.pages_per_block;
   TC_ASSIGN_OR_RETURN(store_,
-                      storage::LogStore::Open(flash_.get(), transform_.get(),
+                      storage::LogStore::Open(flash, transform_.get(),
                                               store_options));
   if (store_->stats().recovery_pages_skipped > 0) {
     obs::AuditRecord skip;
@@ -294,15 +302,33 @@ Status TrustedCell::Init() {
   Status scan_status;
   TC_RETURN_IF_ERROR(store_->ScanAll([&](const std::string& key,
                                          const Bytes& value) {
-    if (!scan_status.ok() || key.compare(0, 6, "x/doc/") != 0) return;
+    if (!scan_status.ok()) return;
+    if (key == kDocNumberKey) {
+      BinaryReader r(value);
+      auto ceiling = r.GetU64();
+      if (!ceiling.ok()) {
+        scan_status = ceiling.status();
+        return;
+      }
+      doc_number_ceiling_ = std::max(doc_number_ceiling_, *ceiling);
+      next_doc_number_ = std::max(next_doc_number_, *ceiling);
+      return;
+    }
+    if (key.compare(0, 6, "x/doc/") != 0) return;
     auto decoded = DecodeMeta(value);
     if (!decoded.ok()) {
       scan_status = decoded.status();
       return;
     }
-    doc_numbers_[decoded->first.doc_id] = decoded->second;
-    number_to_doc_[decoded->second] = decoded->first.doc_id;
+    const DocumentMeta& meta = decoded->first;
+    doc_numbers_[meta.doc_id] = decoded->second;
+    number_to_doc_[decoded->second] = meta.doc_id;
     next_doc_number_ = std::max(next_doc_number_, decoded->second + 1);
+    // Document keys live in TEE memory: re-derive the owner's own from the
+    // master key (keys of documents shared to this cell do not survive).
+    if (meta.origin_owner == config_.owner) {
+      scan_status = EnsureDocKey(meta.doc_id, meta.key_name);
+    }
   }));
   TC_RETURN_IF_ERROR(scan_status);
 
@@ -531,21 +557,47 @@ Result<DocumentMeta> TrustedCell::LoadMeta(const std::string& doc_id) {
 }
 
 Status TrustedCell::SaveMeta(const DocumentMeta& meta, bool is_new) {
-  uint64_t number;
-  if (is_new) {
-    number = next_doc_number_++;
-    doc_numbers_[meta.doc_id] = number;
-    number_to_doc_[number] = meta.doc_id;
-    TC_RETURN_IF_ERROR(db_->keywords().IndexDocument(
-        number, meta.title + " " + meta.keywords));
-  } else {
+  if (!is_new) {
     auto it = doc_numbers_.find(meta.doc_id);
     if (it == doc_numbers_.end()) {
       return Status::Internal("meta update for unknown document");
     }
-    number = it->second;
+    return store_->Put(MetaKey(meta.doc_id), EncodeMeta(meta, it->second));
   }
-  return store_->Put(MetaKey(meta.doc_id), EncodeMeta(meta, number));
+  // A new document exists once its meta record does. If indexing or the
+  // meta write fails (a full store, say), undo the registry entries and any
+  // postings already written, so no search lists a document without meta.
+  // The number stays consumed, across a restart too (ReserveDocNumber):
+  // doc ids derive from it, and postings the rollback could not remove
+  // must never attach to a later document.
+  TC_RETURN_IF_ERROR(ReserveDocNumber());
+  const uint64_t number = next_doc_number_++;
+  const std::string text = meta.title + " " + meta.keywords;
+  doc_numbers_[meta.doc_id] = number;
+  number_to_doc_[number] = meta.doc_id;
+  Status status = db_->keywords().IndexDocument(number, text);
+  if (status.ok()) {
+    status = store_->Put(MetaKey(meta.doc_id), EncodeMeta(meta, number));
+  }
+  if (!status.ok()) {
+    doc_numbers_.erase(meta.doc_id);
+    number_to_doc_.erase(number);
+    // Best effort: an orphan posting left behind is never listed, since
+    // SearchDocuments only lists numbers in the registry and the number
+    // is never issued again.
+    (void)db_->keywords().RemoveDocument(number, text);
+  }
+  return status;
+}
+
+Status TrustedCell::ReserveDocNumber() {
+  if (next_doc_number_ < doc_number_ceiling_) return Status::OK();
+  const uint64_t ceiling = next_doc_number_ + kDocNumberBatch;
+  BinaryWriter w;
+  w.PutU64(ceiling);
+  TC_RETURN_IF_ERROR(store_->Put(kDocNumberKey, w.Take()));
+  doc_number_ceiling_ = ceiling;
+  return Status::OK();
 }
 
 namespace {
@@ -641,6 +693,7 @@ Result<std::string> TrustedCell::StoreDocument(const std::string& title,
   // so every public operation roots one causal tree (or nests under the
   // caller's, e.g. a fleet run).
   obs::TraceSpan span("cell", "store_document", config_.cell_id);
+  TC_RETURN_IF_ERROR(ReserveDocNumber());
   BinaryWriter idw;
   idw.PutString(config_.cell_id);
   idw.PutU64(next_doc_number_);

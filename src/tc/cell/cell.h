@@ -161,6 +161,12 @@ class TrustedCell {
     /// calling the CloudInfrastructure in-process — with or without
     /// resilient_sync. Not owned; must outlive the cell.
     net::CloudTransport* transport = nullptr;
+    /// When set, the cell opens this device instead of a fresh one of
+    /// `flash` geometry, and rebuilds its registry, outbox and own
+    /// document keys from it: a second cell created on the device of a
+    /// first models a reboot (keys of documents shared to the cell and
+    /// TEE counters start afresh). Not owned; must outlive the cell.
+    storage::FlashDevice* flash_device = nullptr;
   };
 
   /// Creates the cell, provisions its TEE (owner master key, storage root
@@ -425,6 +431,10 @@ class TrustedCell {
   Status EnsureDocKey(const std::string& doc_id, const std::string& key_name);
   Result<DocumentMeta> LoadMeta(const std::string& doc_id);
   Status SaveMeta(const DocumentMeta& meta, bool is_new);
+  /// Records `next_doc_number_` as reserved in the store before anything
+  /// (a pushed blob, postings) can carry it, so the registry rebuild after
+  /// a restart resumes past it. Reserves a batch of numbers per write.
+  Status ReserveDocNumber();
   /// Serializes + seals the manifest of own documents at `version`,
   /// substituting `override_meta` (when non-null) for its document —
   /// lets the atomic update publish a manifest that includes a meta not
@@ -474,6 +484,7 @@ class TrustedCell {
   std::set<std::string> seen_grant_ids_;
   std::vector<cloud::Message> pending_messages_;
   uint64_t next_doc_number_ = 1;
+  uint64_t doc_number_ceiling_ = 1;  // Durable: numbers below it are used.
   uint64_t next_grant_number_ = 1;
   Metrics metrics_;
   CellStats stats_;

@@ -18,6 +18,11 @@ uint8_t GfMul(uint8_t a, uint8_t b) {
   return p;
 }
 
+// Multiplication by x (i.e. by 2) in GF(2^8).
+uint8_t Xtime(uint8_t a) {
+  return static_cast<uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1b : 0));
+}
+
 struct SboxTables {
   uint8_t sbox[256];
   uint8_t inv_sbox[256];
@@ -132,10 +137,13 @@ void Aes::EncryptBlock(const uint8_t in[kAesBlockSize],
       for (int c = 0; c < 4; ++c) {
         uint8_t* col = state + 4 * c;
         uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-        col[0] = GfMul(a0, 2) ^ GfMul(a1, 3) ^ a2 ^ a3;
-        col[1] = a0 ^ GfMul(a1, 2) ^ GfMul(a2, 3) ^ a3;
-        col[2] = a0 ^ a1 ^ GfMul(a2, 2) ^ GfMul(a3, 3);
-        col[3] = GfMul(a0, 3) ^ a1 ^ a2 ^ GfMul(a3, 2);
+        // 2a ^ 3b ^ c ^ d == a ^ b ^ c ^ d ^ x(a ^ b), and so on round
+        // the column.
+        uint8_t all = a0 ^ a1 ^ a2 ^ a3;
+        col[0] = a0 ^ all ^ Xtime(a0 ^ a1);
+        col[1] = a1 ^ all ^ Xtime(a1 ^ a2);
+        col[2] = a2 ^ all ^ Xtime(a2 ^ a3);
+        col[3] = a3 ^ all ^ Xtime(a3 ^ a0);
       }
     }
     add_round_key(round);

@@ -14,9 +14,11 @@ inline constexpr size_t kAesBlockSize = 16;
 ///
 /// The S-box is derived at start-up from the GF(2^8) inverse + affine
 /// transform instead of being transcribed, and the implementation is pinned
-/// by the FIPS-197 vectors in tests/crypto. Table-based, so not
-/// cache-timing resistant — acceptable for a simulated TEE, documented as
-/// such.
+/// by the FIPS-197 vectors in tests/crypto. These block functions are the
+/// portable path: byte-wise S-box lookups, so not cache-timing resistant —
+/// acceptable for a simulated TEE, documented as such. Bulk encryption
+/// (AesCtrCrypt) runs the AES-NI kernel instead where the CPU has one; that
+/// kernel is table-free and reuses this key schedule (kernels.h).
 class Aes {
  public:
   /// Expands the key schedule. `key` must be 16 or 32 bytes.
@@ -31,6 +33,10 @@ class Aes {
                     uint8_t out[kAesBlockSize]) const;
 
   int rounds() const { return rounds_; }
+
+  /// The expanded encryption key schedule: 4 * (rounds() + 1) words, each
+  /// the big-endian reading of 4 round-key bytes.
+  const uint32_t* round_keys() const { return round_keys_; }
 
  private:
   Aes() = default;

@@ -6,25 +6,35 @@
 
 namespace tc::crypto {
 
-Bytes HkdfSha256(const Bytes& input_key, const Bytes& salt,
-                 std::string_view info, size_t length) {
+Bytes HkdfExtract(const Bytes& input_key, const Bytes& salt,
+                  const kernels::Set& k) {
+  HmacSha256Stream mac(salt.empty() ? Bytes(kSha256DigestSize, 0) : salt, k);
+  mac.Update(input_key);
+  return mac.Finish();
+}
+
+Bytes HkdfExpand(const Bytes& prk, std::string_view info, size_t length,
+                 const kernels::Set& k) {
   TC_CHECK(length <= 255 * kSha256DigestSize);
-  // Extract.
-  Bytes actual_salt = salt.empty() ? Bytes(kSha256DigestSize, 0) : salt;
-  Bytes prk = HmacSha256(actual_salt, input_key);
-  // Expand.
   Bytes okm;
   Bytes t;
   uint8_t counter = 1;
   while (okm.size() < length) {
-    Bytes block = t;
-    block.insert(block.end(), info.begin(), info.end());
-    block.push_back(counter++);
-    t = HmacSha256(prk, block);
+    HmacSha256Stream mac(prk, k);
+    mac.Update(t);
+    mac.Update(reinterpret_cast<const uint8_t*>(info.data()), info.size());
+    mac.Update(&counter, 1);
+    ++counter;
+    t = mac.Finish();
     Append(okm, t);
   }
   okm.resize(length);
   return okm;
+}
+
+Bytes HkdfSha256(const Bytes& input_key, const Bytes& salt,
+                 std::string_view info, size_t length) {
+  return HkdfExpand(HkdfExtract(input_key, salt), info, length);
 }
 
 Bytes DeriveKey(const Bytes& parent, std::string_view label, size_t length) {

@@ -1,29 +1,37 @@
 #include "tc/crypto/hmac.h"
 
-#include "tc/crypto/sha256.h"
+#include <algorithm>
 
 namespace tc::crypto {
 
-Bytes HmacSha256(const Bytes& key, const Bytes& message) {
+HmacSha256Stream::HmacSha256Stream(const Bytes& key, const kernels::Set& k)
+    : inner_(k), outer_(k) {
   constexpr size_t kBlockSize = 64;
-  Bytes k = key;
-  if (k.size() > kBlockSize) k = Sha256Hash(k);
-  k.resize(kBlockSize, 0);
-
-  Bytes ipad(kBlockSize), opad(kBlockSize);
-  for (size_t i = 0; i < kBlockSize; ++i) {
-    ipad[i] = k[i] ^ 0x36;
-    opad[i] = k[i] ^ 0x5c;
+  uint8_t block[kBlockSize] = {0};
+  if (key.size() > kBlockSize) {
+    Sha256 h(k);
+    h.Update(key);
+    Bytes digest = h.Finish();
+    std::copy(digest.begin(), digest.end(), block);
+  } else {
+    std::copy(key.begin(), key.end(), block);
   }
-  Sha256 inner;
-  inner.Update(ipad);
-  inner.Update(message);
-  Bytes inner_digest = inner.Finish();
+  uint8_t pad[kBlockSize];
+  for (size_t i = 0; i < kBlockSize; ++i) pad[i] = block[i] ^ 0x36;
+  inner_.Update(pad, kBlockSize);
+  for (size_t i = 0; i < kBlockSize; ++i) pad[i] = block[i] ^ 0x5c;
+  outer_.Update(pad, kBlockSize);
+}
 
-  Sha256 outer;
-  outer.Update(opad);
-  outer.Update(inner_digest);
-  return outer.Finish();
+Bytes HmacSha256Stream::Finish() {
+  outer_.Update(inner_.Finish());
+  return outer_.Finish();
+}
+
+Bytes HmacSha256(const Bytes& key, const Bytes& message) {
+  HmacSha256Stream mac(key);
+  mac.Update(message);
+  return mac.Finish();
 }
 
 bool HmacVerify(const Bytes& key, const Bytes& message, const Bytes& tag) {

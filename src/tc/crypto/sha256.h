@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "tc/common/bytes.h"
+#include "tc/crypto/kernels.h"
 
 namespace tc::crypto {
 
@@ -16,9 +17,14 @@ inline constexpr size_t kSha256DigestSize = 32;
 /// Like the rest of tc::crypto it is a clean-room educational
 /// implementation: correct (validated against the FIPS test vectors in
 /// tests/crypto) but not hardened against side channels.
+///
+/// The compression function runs on the SHA-NI kernel where the CPU has
+/// one and on the portable C++ rounds otherwise (kernels.h); both give the
+/// same digest, and full input blocks are hashed in place, not copied
+/// through the block buffer.
 class Sha256 {
  public:
-  Sha256();
+  explicit Sha256(const kernels::Set& k = kernels::Dispatched());
 
   /// Absorbs more input. May be called any number of times.
   void Update(const uint8_t* data, size_t len);
@@ -32,8 +38,7 @@ class Sha256 {
   void Reset();
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
+  kernels::Sha256BlocksFn blocks_;
   uint32_t h_[8];
   uint8_t buffer_[64];
   size_t buffer_len_;

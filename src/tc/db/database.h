@@ -23,8 +23,12 @@ namespace tc::db {
 ///   "m/<table>"            table schema (catalog)
 ///   "r/<table>/<id>"       table rows
 ///   "s/<series>/<chunk>"   time-series chunks
-///   "k/<term>"             keyword posting lists
-///   "x/..."                reserved for the cell layer (sync state etc.)
+///   "k/<term>"             keyword posting list head: the open tail, plus
+///                          a trailer (chunk count, largest sealed id) once
+///                          the list has overflowed
+///   "k/<term>/<i>"         sealed posting list chunks (terms are
+///                          alphanumeric, so these never collide with heads)
+///   "x/..."             reserved for the cell layer (sync state etc.)
 class Database {
  public:
   /// Opens the catalog, restoring tables, series directories and row-id

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-
-#include "tc/common/codec.h"
+#include <string>
 
 namespace tc::db {
 
@@ -27,8 +26,37 @@ std::vector<std::string> KeywordIndex::Tokenize(const std::string& text) {
   return tokens;
 }
 
+namespace {
+
+// A tail rewrite per insert costs at most this much, and a list of up to
+// ~500 dense ids stays a single record. Small pages lower it further (see
+// SealBytes) so a sealed chunk always fits one record.
+constexpr size_t kTailSealBytes = 512;
+
+bool Contains(const std::vector<uint64_t>& ids, uint64_t id) {
+  return std::binary_search(ids.begin(), ids.end(), id);
+}
+
+bool Erase(std::vector<uint64_t>& ids, uint64_t id) {
+  auto pos = std::lower_bound(ids.begin(), ids.end(), id);
+  if (pos == ids.end() || *pos != id) return false;
+  ids.erase(pos);
+  return true;
+}
+
+}  // namespace
+
 std::string KeywordIndex::TermKey(const std::string& term) {
   return "k/" + term;
+}
+
+// Tokens are alphanumeric, so no head key can take this form.
+std::string KeywordIndex::ChunkKey(const std::string& term, uint64_t chunk) {
+  return "k/" + term + "/" + std::to_string(chunk);
+}
+
+size_t KeywordIndex::SealBytes() const {
+  return std::min(kTailSealBytes, store_->MaxValueSize() / 2);
 }
 
 Bytes KeywordIndex::EncodePostings(const std::vector<uint64_t>& ids) {
@@ -42,8 +70,7 @@ Bytes KeywordIndex::EncodePostings(const std::vector<uint64_t>& ids) {
   return w.Take();
 }
 
-Result<std::vector<uint64_t>> KeywordIndex::DecodePostings(const Bytes& data) {
-  BinaryReader r(data);
+Result<std::vector<uint64_t>> KeywordIndex::DecodePostings(BinaryReader& r) {
   TC_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
   std::vector<uint64_t> ids;
   ids.reserve(n);
@@ -56,36 +83,113 @@ Result<std::vector<uint64_t>> KeywordIndex::DecodePostings(const Bytes& data) {
   return ids;
 }
 
+Bytes KeywordIndex::EncodeHead(const Head& head) {
+  Bytes out = EncodePostings(head.tail);
+  if (head.chunks > 0) {
+    BinaryWriter w;
+    w.PutVarint(head.chunks);
+    w.PutVarint(head.sealed_max);
+    Append(out, w.Take());
+  }
+  return out;
+}
+
+Result<KeywordIndex::Head> KeywordIndex::LoadHead(
+    const std::string& term) const {
+  Head head;
+  auto data = store_->Get(TermKey(term));
+  if (data.status().IsNotFound()) return head;
+  if (!data.ok()) return data.status();
+  BinaryReader r(*data);
+  TC_ASSIGN_OR_RETURN(head.tail, DecodePostings(r));
+  if (!r.AtEnd()) {
+    TC_ASSIGN_OR_RETURN(head.chunks, r.GetVarint());
+    TC_ASSIGN_OR_RETURN(head.sealed_max, r.GetVarint());
+  }
+  return head;
+}
+
+Result<std::vector<uint64_t>> KeywordIndex::LoadChunk(const std::string& term,
+                                                      uint64_t chunk) const {
+  auto data = store_->Get(ChunkKey(term, chunk));
+  if (data.status().IsNotFound()) return std::vector<uint64_t>{};
+  if (!data.ok()) return data.status();
+  BinaryReader r(*data);
+  return DecodePostings(r);
+}
+
 Status KeywordIndex::IndexDocument(uint64_t doc_id, const std::string& text) {
   for (const std::string& term : Tokenize(text)) {
-    std::vector<uint64_t> ids;
-    auto existing = store_->Get(TermKey(term));
-    if (existing.ok()) {
-      TC_ASSIGN_OR_RETURN(ids, DecodePostings(*existing));
-    } else if (!existing.status().IsNotFound()) {
-      return existing.status();
+    TC_ASSIGN_OR_RETURN(Head head, LoadHead(term));
+    if (Contains(head.tail, doc_id)) continue;  // Already indexed.
+    // Ids mostly arrive in increasing order; only an id at or below the
+    // sealed maximum can already sit in a chunk.
+    if (head.chunks > 0 && doc_id <= head.sealed_max) {
+      bool sealed = false;
+      for (uint64_t i = 0; i < head.chunks && !sealed; ++i) {
+        TC_ASSIGN_OR_RETURN(std::vector<uint64_t> ids, LoadChunk(term, i));
+        sealed = Contains(ids, doc_id);
+      }
+      if (sealed) continue;
     }
-    auto pos = std::lower_bound(ids.begin(), ids.end(), doc_id);
-    if (pos != ids.end() && *pos == doc_id) continue;  // Already indexed.
-    ids.insert(pos, doc_id);
-    TC_RETURN_IF_ERROR(store_->Put(TermKey(term), EncodePostings(ids)));
+    head.tail.insert(
+        std::lower_bound(head.tail.begin(), head.tail.end(), doc_id), doc_id);
+    Bytes tail = EncodePostings(head.tail);
+    if (tail.size() >= SealBytes()) {
+      // Chunk first: a crash before the head rewrite leaves an unreferenced
+      // chunk that the next seal of this slot overwrites.
+      TC_RETURN_IF_ERROR(store_->Put(ChunkKey(term, head.chunks), tail));
+      head.sealed_max = std::max(head.sealed_max, head.tail.back());
+      ++head.chunks;
+      head.tail.clear();
+    }
+    TC_RETURN_IF_ERROR(store_->Put(TermKey(term), EncodeHead(head)));
   }
   return Status::OK();
 }
 
+Result<bool> KeywordIndex::RemoveFromChunks(const std::string& term,
+                                            const Head& head,
+                                            uint64_t doc_id) {
+  if (doc_id > head.sealed_max) return false;
+  for (uint64_t i = 0; i < head.chunks; ++i) {
+    TC_ASSIGN_OR_RETURN(std::vector<uint64_t> ids, LoadChunk(term, i));
+    if (!Erase(ids, doc_id)) continue;
+    TC_RETURN_IF_ERROR(ids.empty() ? store_->Delete(ChunkKey(term, i))
+                                   : store_->Put(ChunkKey(term, i),
+                                                 EncodePostings(ids)));
+    return true;
+  }
+  return false;
+}
+
+Result<bool> KeywordIndex::AnyChunkLive(const std::string& term,
+                                        const Head& head) const {
+  for (uint64_t i = 0; i < head.chunks; ++i) {
+    TC_ASSIGN_OR_RETURN(std::vector<uint64_t> ids, LoadChunk(term, i));
+    if (!ids.empty()) return true;
+  }
+  return false;
+}
+
 Status KeywordIndex::RemoveDocument(uint64_t doc_id, const std::string& text) {
   for (const std::string& term : Tokenize(text)) {
-    auto existing = store_->Get(TermKey(term));
-    if (existing.status().IsNotFound()) continue;
-    if (!existing.ok()) return existing.status();
-    TC_ASSIGN_OR_RETURN(std::vector<uint64_t> ids, DecodePostings(*existing));
-    auto pos = std::lower_bound(ids.begin(), ids.end(), doc_id);
-    if (pos == ids.end() || *pos != doc_id) continue;
-    ids.erase(pos);
-    if (ids.empty()) {
-      TC_RETURN_IF_ERROR(store_->Delete(TermKey(term)));
-    } else {
-      TC_RETURN_IF_ERROR(store_->Put(TermKey(term), EncodePostings(ids)));
+    TC_ASSIGN_OR_RETURN(Head head, LoadHead(term));
+    const bool from_tail = Erase(head.tail, doc_id);
+    if (!from_tail) {
+      TC_ASSIGN_OR_RETURN(bool from_chunk,
+                          RemoveFromChunks(term, head, doc_id));
+      if (!from_chunk) continue;
+    }
+    if (head.tail.empty()) {
+      TC_ASSIGN_OR_RETURN(bool live, AnyChunkLive(term, head));
+      if (!live) {
+        TC_RETURN_IF_ERROR(store_->Delete(TermKey(term)));
+        continue;
+      }
+    }
+    if (from_tail) {
+      TC_RETURN_IF_ERROR(store_->Put(TermKey(term), EncodeHead(head)));
     }
   }
   return Status::OK();
@@ -97,10 +201,20 @@ Result<std::vector<uint64_t>> KeywordIndex::Search(
   if (tokens.size() != 1) {
     return Status::InvalidArgument("Search expects a single term");
   }
-  auto existing = store_->Get(TermKey(tokens[0]));
-  if (existing.status().IsNotFound()) return std::vector<uint64_t>{};
-  if (!existing.ok()) return existing.status();
-  return DecodePostings(*existing);
+  TC_ASSIGN_OR_RETURN(Head head, LoadHead(tokens[0]));
+  if (head.chunks == 0) return head.tail;
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < head.chunks; ++i) {
+    TC_ASSIGN_OR_RETURN(std::vector<uint64_t> chunk, LoadChunk(tokens[0], i));
+    ids.insert(ids.end(), chunk.begin(), chunk.end());
+  }
+  ids.insert(ids.end(), head.tail.begin(), head.tail.end());
+  // Chunks are sealed in insertion order, which is id order unless ids
+  // arrived out of order.
+  if (!std::is_sorted(ids.begin(), ids.end())) {
+    std::sort(ids.begin(), ids.end());
+  }
+  return ids;
 }
 
 Result<std::vector<uint64_t>> KeywordIndex::SearchAnd(

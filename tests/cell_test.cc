@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
 
 #include "tc/cell/cell.h"
 #include "tc/cell/vault_baseline.h"
+#include "tc/storage/flash_device.h"
 
 namespace tc::cell {
 namespace {
@@ -409,6 +412,107 @@ TEST_F(CellTest, CentralizedVaultBaselineContrasts) {
   auto loot = vault.BreachAll();
   ASSERT_EQ(loot.size(), 1u);
   EXPECT_EQ(ToString(std::get<2>(loot[0])), "dear diary");
+}
+
+
+// Thousands of documents under one keyword: the keyword's posting list
+// outgrows one flash page.
+TEST_F(CellTest, ThousandsOfDocumentsShareOneKeyword) {
+  constexpr int kDocs = 3000;
+  std::set<std::string> stored;
+  for (int i = 0; i < kDocs; ++i) {
+    auto id = alice_gateway_->StoreDocument(
+        "note " + std::to_string(i), "shared", ToBytes("n" + std::to_string(i)),
+        MakeOwnerPolicy("alice"));
+    ASSERT_TRUE(id.ok()) << i << ": " << id.status().ToString();
+    stored.insert(*id);
+  }
+  auto found = alice_gateway_->SearchDocuments("shared");
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  std::set<std::string> listed;
+  for (const DocumentMeta& meta : *found) listed.insert(meta.doc_id);
+  EXPECT_EQ(listed, stored);
+}
+
+// Fills a tiny secure-token store until StoreDocument fails. The failed
+// store may have written postings before its meta write failed, and its
+// rollback may fail on the full store too. Search must still succeed and
+// list exactly the documents that were stored — also after a reboot, when
+// the next document must not inherit the failed document's number (and
+// with it any leftover postings).
+TEST_F(CellTest, FailedStoreLeavesNoPhantomDocument) {
+  storage::FlashGeometry geo;
+  geo.page_size = 2048;
+  geo.pages_per_block = 8;
+  geo.block_count = 8;
+  storage::FlashDevice flash(geo);
+  TrustedCell::Config config;
+  config.cell_id = "alice-token";
+  config.owner = "alice";
+  config.device_class = tee::DeviceClass::kSecureToken;
+  config.use_default_flash = false;
+  config.flash_device = &flash;
+  auto made = TrustedCell::Create(config, &cloud_, &directory_, &clock_);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+
+  // "aaa" sorts first, so its posting is written before the other terms'.
+  std::set<std::string> stored;
+  Status failure;
+  for (int i = 0; i < 5000 && failure.ok(); ++i) {
+    auto id = (*made)->StoreDocument(
+        "record " + std::to_string(i), "aaa " + std::string(400, 'z'),
+        ToBytes("payload " + std::to_string(i)), MakeOwnerPolicy("alice"));
+    if (id.ok()) {
+      stored.insert(*id);
+    } else {
+      failure = id.status();
+    }
+  }
+  ASSERT_FALSE(failure.ok()) << "the store never filled up";
+  ASSERT_FALSE(stored.empty());
+
+  auto expect_listed_exactly = [&](TrustedCell& cell) {
+    auto found = cell.SearchDocuments("aaa");
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    std::set<std::string> listed;
+    for (const DocumentMeta& meta : *found) {
+      listed.insert(meta.doc_id);
+      EXPECT_TRUE(cell.FetchDocument(meta.doc_id).ok()) << meta.doc_id;
+    }
+    EXPECT_EQ(listed, stored);
+    EXPECT_EQ(cell.ListDocuments().size(), stored.size());
+    // The space proof walks the whole registry: a phantom entry fails it.
+    EXPECT_TRUE(cell.ProveDocumentInSpace(*stored.begin()).ok());
+  };
+  expect_listed_exactly(**made);
+
+  // Power-cycle the token: a new cell on the same image. The rollback's
+  // removal never reached the full flash, so the failed document's number
+  // is still in the "aaa" posting list after recovery.
+  made->reset();
+  auto rebooted = TrustedCell::Create(config, &cloud_, &directory_, &clock_);
+  ASSERT_TRUE(rebooted.ok()) << rebooted.status().ToString();
+  TrustedCell& token = **rebooted;
+  auto postings = token.database().keywords().Search("aaa");
+  ASSERT_TRUE(postings.ok()) << postings.status().ToString();
+  ASSERT_GT(postings->size(), stored.size()) << "no orphan posting survived";
+  expect_listed_exactly(token);
+
+  auto late = token.StoreDocument("late", "bbb", ToBytes("late payload"),
+                                  MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
+  EXPECT_EQ(stored.count(*late), 0u);
+  auto aaa = token.SearchDocuments("aaa");
+  ASSERT_TRUE(aaa.ok()) << aaa.status().ToString();
+  for (const DocumentMeta& meta : *aaa) EXPECT_NE(meta.doc_id, *late);
+  EXPECT_EQ(aaa->size(), stored.size());
+  auto bbb = token.SearchDocuments("bbb");
+  ASSERT_TRUE(bbb.ok()) << bbb.status().ToString();
+  ASSERT_EQ(bbb->size(), 1u);
+  EXPECT_EQ((*bbb)[0].doc_id, *late);
+  auto body = token.FetchDocument(*late);
+  ASSERT_TRUE(body.ok()) << body.status().ToString();
+  EXPECT_EQ(*body, ToBytes("late payload"));
 }
 
 }  // namespace

@@ -220,6 +220,30 @@ TEST(AeadTest, TruncatedBlobRejected) {
 
 // ---------------------------------------------------------------- Random
 
+// Format freeze: these digests were computed before the hardware kernels
+// existed. Cloud blobs, flash pages and tokens are AEAD output, so any
+// change here changes every stored byte.
+TEST(AeadTest, FormatFreezeKnownAnswer) {
+  Bytes key(32), nonce(12), pt(4101);
+  for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(i);
+  for (size_t i = 0; i < nonce.size(); ++i) {
+    nonce[i] = static_cast<uint8_t>(0xa0 + i);
+  }
+  for (size_t i = 0; i < pt.size(); ++i) pt[i] = static_cast<uint8_t>(7 * i);
+  Bytes aad = ToBytes("tc.kat");
+
+  Bytes sealed = *AeadSeal(key, nonce, aad, pt);
+  ASSERT_EQ(sealed.size(), pt.size() + kAeadTagSize);
+  EXPECT_EQ(HexEncode(Sha256Hash(sealed)),
+            "b69bff2b1b8355a5bfb47a42f4d98acfd89d7edcf37b879bc9a3b49b63cf77a3");
+  EXPECT_EQ(HexEncode(Bytes(sealed.end() - kAeadTagSize, sealed.end()))
+                .substr(0, 16),
+            "f43a7d1c28e3489e");
+  EXPECT_EQ(*AeadOpen(key, nonce, aad, sealed), pt);
+  EXPECT_EQ(HexEncode(Sha256Hash(*AesCtrCrypt(key, nonce, pt))),
+            "437f1f869e048781861af4964a71ea0e0b482350528fea853285e130f2301495");
+}
+
 TEST(SecureRandomTest, DeterministicFromSeed) {
   SecureRandom a(ToBytes("seed")), b(ToBytes("seed"));
   EXPECT_EQ(a.NextBytes(64), b.NextBytes(64));

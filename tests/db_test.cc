@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "tc/common/macros.h"
 #include "tc/db/database.h"
 #include "tc/db/query.h"
 #include "tc/storage/flash_device.h"
@@ -386,6 +388,66 @@ TEST_F(DbTest, KeywordIndexIdempotent) {
   ASSERT_TRUE(kw.IndexDocument(5, "dup dup dup").ok());
   ASSERT_TRUE(kw.IndexDocument(5, "dup").ok());
   EXPECT_EQ(*kw.Search("dup"), (std::vector<uint64_t>{5}));
+}
+
+
+// A posting list far past one flash page. A LogStore record holds at most
+// one page, so the list must spill into sealed chunks.
+TEST(KeywordIndexChunkTest, LongPostingListOnGatewayGeometry) {
+  storage::FlashGeometry geo;  // A home-gateway cell's flash.
+  geo.page_size = 2048;
+  geo.pages_per_block = 64;
+  geo.block_count = 2048;
+  storage::FlashDevice device(geo);
+  storage::PlainPageTransform plain;
+  auto open = [&] {
+    auto store = storage::LogStore::Open(&device, &plain, {});
+    TC_CHECK(store.ok());
+    return std::move(*store);
+  };
+  std::unique_ptr<storage::LogStore> store = open();
+  auto kw = std::make_unique<KeywordIndex>(store.get());
+
+  constexpr uint64_t kDocs = 5200;
+  std::vector<uint64_t> want;
+  for (uint64_t id = 1; id <= kDocs; ++id) {
+    ASSERT_TRUE(kw->IndexDocument(id, "shared").ok()) << id;
+    want.push_back(id);
+  }
+  EXPECT_EQ(*kw->Search("shared"), want);
+  // The head stays one bounded record; the rest sits in sealed chunks.
+  EXPECT_LT(store->Get("k/shared")->size(), 1024u);
+  EXPECT_TRUE(store->Get("k/shared/0").ok());
+
+  // Re-indexing a sealed id is a no-op.
+  ASSERT_TRUE(kw->IndexDocument(10, "shared").ok());
+  EXPECT_EQ(*kw->Search("shared"), want);
+
+  // Remove from a sealed chunk and from the open tail.
+  ASSERT_TRUE(kw->RemoveDocument(10, "shared").ok());
+  ASSERT_TRUE(kw->RemoveDocument(kDocs, "shared").ok());
+  want.erase(want.begin() + 9);
+  want.pop_back();
+  EXPECT_EQ(*kw->Search("shared"), want);
+  EXPECT_EQ(*kw->SearchAnd({"shared", "shared"}), want);
+
+  // An id that arrives below the sealed maximum still searches sorted.
+  ASSERT_TRUE(kw->IndexDocument(10, "shared").ok());
+  want.insert(want.begin() + 9, 10);
+  EXPECT_EQ(*kw->Search("shared"), want);
+
+  ASSERT_TRUE(store->Flush().ok());
+  kw.reset();
+  store.reset();
+  store = open();
+  kw = std::make_unique<KeywordIndex>(store.get());
+  EXPECT_EQ(*kw->Search("shared"), want);
+
+  // Emptying the list drops the head and every chunk.
+  for (uint64_t id : want) ASSERT_TRUE(kw->RemoveDocument(id, "shared").ok());
+  EXPECT_TRUE(kw->Search("shared")->empty());
+  EXPECT_TRUE(store->Get("k/shared").status().IsNotFound());
+  EXPECT_TRUE(store->Get("k/shared/0").status().IsNotFound());
 }
 
 }  // namespace
