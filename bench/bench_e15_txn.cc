@@ -16,7 +16,7 @@
 //     resilient channels (token-table replays make re-sent commits
 //     exactly-once; abort rate is contention's, not the network's).
 //
-// Commit/abort counts are deterministic per seed on the direct path; the
+// Commit/abort counts are deterministic per seed on the clean network; the
 // wall-clock column is a host measurement.
 
 #include <cstdio>
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   // 32 cells x 32 rounds, 2 keys per txn. 256 shared keys ~ no collisions;
   // 2 shared keys = every transaction touches every key.
   std::printf("\nabort rate vs shared-key-space size (32 cells, 8 threads, "
-              "2-key r-m-w txns, direct path; every logical txn retried to "
+              "2-key r-m-w txns, clean network; every logical txn retried to "
               "commit):\n");
   std::printf("  shared   commits   aborts  abort%%  retries    commit/s  "
               "history\n");
@@ -143,7 +143,6 @@ int main(int argc, char** argv) {
     options.cells = 16;  // Keep the lossy sweep quick.
     options.rounds_per_cell = 16;
     options.txn_shared_docs = 4;
-    options.resilient = true;
     CloudInfrastructure cloud;
     NetworkFaultConfig config = NetworkFaultConfig::Lossy(rate, seed);
     config.delay_prob = rate;

@@ -29,7 +29,8 @@
 #   6. chaos determinism gate: every chaos seed must replay exactly from
 #      its printed fault schedule (a chaos failure that cannot be
 #      reproduced from its schedule print is not debuggable);
-#   7. check no generated build*/ tree is tracked or staged;
+#   7. check no generated build*/ tree is tracked or staged, and print the
+#      src/ line total (scripts/src_lines.sh; reports, gates nothing);
 #   8. run the obs export validator (quick bench run + trace JSON checks);
 #   9. build and self-test the repository benchmark (perfbench/): it
 #      compiles against the cell, transport and provider APIs, so a src/
@@ -66,6 +67,7 @@ build/tests/chaos_test \
   exit 1
 }
 scripts/check_tree_clean.sh
+scripts/src_lines.sh
 scripts/validate_obs_export.sh
 if command -v python3 > /dev/null 2>&1; then
   echo "ci: benchmark self-test (perfbench build + output checks)"

@@ -144,41 +144,6 @@ uint64_t BlobStore::Put(const std::string& id, const Bytes& data) {
   return version;
 }
 
-std::vector<uint64_t> BlobStore::PutBatch(
-    const std::vector<std::pair<std::string, Bytes>>& items) {
-  std::vector<uint64_t> versions(items.size(), 0);
-  std::vector<uint64_t> seqs;
-  std::vector<VersionNode*> nodes;
-  seqs.reserve(items.size());
-  nodes.reserve(items.size());
-  // Group item indexes by shard so each shard lock is taken at most once.
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    by_shard[ShardIndex(items[i].first)].push_back(i);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    auto lock = LockShard(shard);
-    for (size_t i : by_shard[s]) {
-      uint64_t seq = next_commit_seq_.fetch_add(1, std::memory_order_relaxed);
-      nodes.push_back(AppendVersionLocked(shard, items[i].first,
-                                          items[i].second, seq, &versions[i]));
-      seqs.push_back(seq);
-    }
-    // Each item is an independent auto-commit, fully applied by now:
-    // publish the shard's slice before its stripe is released (see
-    // CommitTxn for why latest-visible must imply snapshot-visible).
-    PublishSeqs(seqs.data(), seqs.size());
-    for (VersionNode* node : nodes) {
-      node->published.store(true, std::memory_order_release);
-    }
-    seqs.clear();
-    nodes.clear();
-  }
-  return versions;
-}
-
 std::vector<uint64_t> BlobStore::PutBatchIdempotent(
     const std::vector<std::pair<std::string, Bytes>>& items,
     const std::vector<std::string>& tokens) {
@@ -215,7 +180,9 @@ std::vector<uint64_t> BlobStore::PutBatchIdempotent(
         shard.token_fifo.pop_front();
       }
     }
-    // Same per-shard publish-under-stripe discipline as PutBatch.
+    // Each item is an independent auto-commit, fully applied by now:
+    // publish the shard's slice before its stripe is released (see
+    // CommitTxn for why latest-visible must imply snapshot-visible).
     PublishSeqs(seqs.data(), seqs.size());
     for (VersionNode* node : nodes) {
       node->published.store(true, std::memory_order_release);

@@ -90,15 +90,11 @@ class BlobStore {
   uint64_t Put(const std::string& id, const Bytes& data);
 
   /// Stores a batch of blobs, taking each shard lock at most once (the
-  /// provider-side half of client-side write batching). Returns the
-  /// assigned version numbers in input order.
-  std::vector<uint64_t> PutBatch(
-      const std::vector<std::pair<std::string, Bytes>>& items);
-
-  /// PutBatch with per-item idempotency: `tokens[i]` names the logical
-  /// write (cell id + blob id + client sequence). An item whose token was
-  /// already applied is NOT stored again — the version it got the first
-  /// time is returned instead. This is what makes retries after a lost ack
+  /// provider-side half of client-side write batching); returns the
+  /// assigned versions in input order. Per-item idempotency: `tokens[i]`
+  /// names the logical write (cell id + blob id + client sequence). An
+  /// item whose token was already applied is NOT stored again — the
+  /// version it got the first time is returned instead. This is what makes retries after a lost ack
   /// and network-level duplicates side-effect-free: the same logical write
   /// can reach the provider 0–N times and creates at most one version.
   /// Tokens live in per-shard tables (same striping as the blobs, same

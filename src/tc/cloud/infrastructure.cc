@@ -163,19 +163,6 @@ void CloudInfrastructure::ChargeLatency() const {
   std::this_thread::sleep_for(std::chrono::microseconds(options_.op_latency_us));
 }
 
-std::vector<uint64_t> CloudInfrastructure::PutBlobBatch(
-    const std::vector<std::pair<std::string, Bytes>>& items) {
-  obs::TraceSpan span(obs::kChildOnly, "cloud", "put_batch",
-                      std::to_string(items.size()) + " blobs",
-                      &metrics_.put_batch_us);
-  ChargeLatency();  // One round-trip for the whole batch.
-  uint64_t bytes = 0;
-  for (const auto& [id, data] : items) bytes += data.size();
-  stats_.blob_puts.fetch_add(items.size(), std::memory_order_relaxed);
-  stats_.bytes_in.fetch_add(bytes, std::memory_order_relaxed);
-  return blobs_.PutBatch(items);
-}
-
 namespace {
 
 uint64_t FaultOrdinal(const FaultDecision& decision) {
@@ -356,18 +343,6 @@ obs::TelemetryHub::ReportOutcome CloudInfrastructure::ReportTelemetryRpc(
       &decision, [&](const FaultDecision&) {
         return telemetry_hub_.ReportEncoded(frame);
       });
-  if (delay_us != nullptr) *delay_us = decision.delay_us;
-  return outcome;
-}
-
-obs::TelemetryHub::ReportOutcome CloudInfrastructure::ReportTelemetryRpc(
-    const obs::TelemetryFrame& frame, uint32_t* delay_us) {
-  FaultDecision decision;
-  obs::TelemetryHub::ReportOutcome outcome = Edge(
-      EdgeShape{NetOp::kTelemetry, "telemetry report", /*read=*/false,
-                /*atomic=*/true},
-      &decision,
-      [&](const FaultDecision&) { return telemetry_hub_.Report(frame); });
   if (delay_us != nullptr) *delay_us = decision.delay_us;
   return outcome;
 }

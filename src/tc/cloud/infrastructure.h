@@ -155,7 +155,7 @@ class CloudInfrastructure {
     size_t blob_shards = BlobStore::kDefaultShards;
     size_t queue_shards = BlobStore::kDefaultShards;
     /// Simulated provider round-trip charged to each blob/messaging
-    /// operation (once per *batch* for PutBlobBatch — the whole point of
+    /// operation (once per *batch* for PutBlobBatchRpc — the whole point of
     /// client-side batching). 0 = in-process, no delay. Slept outside all
     /// locks, so concurrent callers overlap their waits exactly as real
     /// cells overlap WAN round-trips.
@@ -183,8 +183,7 @@ class CloudInfrastructure {
 
   /// Attaches (or detaches, with nullptr) the network fault injector the
   /// edge consults. Not owned; must outlive its use. The direct endpoints
-  /// below the edge (the fleet's direct leg, harness reads, messaging)
-  /// never consult it.
+  /// below the edge (harness and audit reads, messaging) never consult it.
   void set_fault_injector(NetworkFaultInjector* injector) {
     fault_injector_.store(injector, std::memory_order_release);
   }
@@ -238,10 +237,6 @@ class CloudInfrastructure {
   /// Reports one encoded telemetry frame (atomic).
   obs::TelemetryHub::ReportOutcome ReportTelemetryRpc(
       const Bytes& frame, uint32_t* delay_us = nullptr);
-  /// Same edge without the codec round-trip. Kept only for FleetRunner's
-  /// direct leg, until the fleet's direct and resilient legs merge.
-  obs::TelemetryHub::ReportOutcome ReportTelemetryRpc(
-      const obs::TelemetryFrame& frame, uint32_t* delay_us = nullptr);
   /// Scrapes the fleet telemetry JSON (read-class, admission-critical).
   Result<std::string> ScrapeTelemetryRpc(uint32_t* delay_us = nullptr);
   /// The provider-side aggregation point (direct access for harnesses).
@@ -249,14 +244,9 @@ class CloudInfrastructure {
 
   // ---- Direct blob access (below the edge: no faults, no gate) ----
 
-  /// Stores a batch of blobs in one round-trip; returns versions in input
-  /// order. Shard locks are taken at most once per batch. Kept only for
-  /// FleetRunner's direct leg, until the fleet's legs merge.
-  std::vector<uint64_t> PutBlobBatch(
-      const std::vector<std::pair<std::string, Bytes>>& items);
   /// Latest blob — possibly tampered or rolled back by the adversary. The
-  /// execute step of GetBlobRpc; also FleetRunner's direct leg and the
-  /// harnesses' view of what the provider serves.
+  /// execute step of GetBlobRpc; also the harnesses' (and the fleet
+  /// audit's) view of what the provider serves.
   Result<Bytes> GetBlob(const std::string& id);
   Result<Bytes> GetBlobVersion(const std::string& id, uint64_t version);
   Result<uint64_t> LatestBlobVersion(const std::string& id) const;

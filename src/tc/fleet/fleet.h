@@ -10,6 +10,7 @@
 #include "tc/common/result.h"
 #include "tc/fleet/worker_pool.h"
 #include "tc/net/channel.h"
+#include "tc/net/transport.h"
 #include "tc/obs/metrics.h"
 
 namespace tc::fleet {
@@ -36,25 +37,23 @@ struct FleetOptions {
   /// and fails the cell on mismatch — the per-cell error-propagation path.
   /// Leave off when running against a tampering adversary.
   bool verify_reads = true;
-  /// Resilient mode: each cell talks to the provider through its own
-  /// ResilientChannel over the RPC surface (retry/backoff, idempotent
-  /// tokens, circuit breaker), so the fleet survives an attached
-  /// NetworkFaultInjector. A write the channel could not get acked stays
-  /// in the cell's pending slot and is retried in later rounds and in an
-  /// end-of-run drain; unavailable reads are counted, not failed.
-  bool resilient = false;
+  /// Every cell talks to the provider through its own ResilientChannel
+  /// (retry/backoff, idempotent tokens, circuit breaker), so the fleet
+  /// survives an attached NetworkFaultInjector. A write the channel could
+  /// not get acked stays in the cell's pending slot and is retried in later
+  /// rounds and in an end-of-run drain; unavailable reads are counted, not
+  /// failed.
   net::ChannelOptions channel;
-  /// When set (resilient/txn modes), every cell's channel speaks through
-  /// this transport instead of calling the shared CloudInfrastructure
-  /// in-process — e.g. an rpc::SocketTransport crossing real TCP to an
-  /// RpcServer. Not owned; must outlive the run. Implementations must be
-  /// thread-safe (every cell task calls concurrently). Bus traffic and
-  /// the ground-truth convergence audit intentionally stay on the direct
-  /// in-process path: they are the test's omniscient oracle, not cell
-  /// traffic.
+  /// When set, every cell's channel speaks through this transport instead
+  /// of an in-process one over the shared CloudInfrastructure — e.g. an
+  /// rpc::SocketTransport crossing real TCP to an RpcServer. Not owned;
+  /// must outlive the run. Implementations must be thread-safe (every cell
+  /// task calls concurrently). Bus traffic (Send/Receive have no transport
+  /// op) and the ground-truth convergence audit (the test's omniscient
+  /// oracle) stay below the edge, in-process.
   net::CloudTransport* transport = nullptr;
-  /// With resilient mode and an attached injector: force a full provider
-  /// outage until every cell has completed this many rounds (the E14
+  /// With an attached injector: force a full provider outage until every
+  /// cell has completed this many rounds (the E14
   /// partition-heals-and-converges phase). The heal is an all-cells
   /// barrier, so this requires cells <= threads. 0 = no forced outage.
   size_t outage_first_rounds = 0;
@@ -68,10 +67,9 @@ struct FleetOptions {
   /// PRIVATE MetricRegistry — the simulated cells share one process, so
   /// recording into the global registry would fold every cell into a
   /// single stream and the shipped deltas would double-count — and ships
-  /// sequence-numbered delta frames to the provider's TelemetryHub:
-  /// through the cell's ResilientChannel in resilient mode (byte-identical
-  /// retries ride the breaker/backoff engine), directly over the RPC
-  /// surface otherwise. An end-of-run flush pushes until acked, so at
+  /// sequence-numbered delta frames to the provider's TelemetryHub
+  /// through the cell's ResilientChannel (byte-identical retries ride the
+  /// breaker/backoff engine). An end-of-run flush pushes until acked, so at
   /// quiescence the hub aggregate equals the sum of what the cells
   /// recorded. Blob workloads only; ignored by the txn workload.
   bool telemetry = false;
@@ -112,7 +110,7 @@ struct FleetCellResult {
   uint64_t gets = 0;
   uint64_t sends = 0;
   uint64_t messages_received = 0;
-  // Resilient-mode outcome (all zero / true on the direct path).
+  // Channel outcome (all zero / true on a clean network).
   uint64_t retries = 0;           ///< Channel retry attempts.
   uint64_t deferred = 0;          ///< Writes left unacked by their round.
   uint64_t drained = 0;           ///< Pending writes acked by the drain.
@@ -160,7 +158,7 @@ struct FleetReport {
   FleetLatency get_latency;
   uint64_t blob_lock_contention = 0;   // Delta over the run.
   uint64_t queue_lock_contention = 0;  // Delta over the run.
-  // Resilient-mode aggregates.
+  // Channel aggregates.
   uint64_t retries = 0;
   uint64_t deferred = 0;
   uint64_t drained = 0;
@@ -194,15 +192,18 @@ class FleetRunner {
   Result<FleetReport> Run();
 
  private:
+  /// The blob leg and the txn leg; both speak through a per-cell channel.
   void RunCell(size_t cell_index, FleetCellResult* result);
-  void RunCellResilient(size_t cell_index, FleetCellResult* result);
   void RunCellTxn(size_t cell_index, FleetCellResult* result);
+  net::ChannelOptions CellChannelOptions(size_t cell_index) const;
   /// Called by the cell that completes the outage phase last: lifts the
   /// forced outage and stamps the heal time.
   void HealOutage();
 
   cloud::CloudInfrastructure* cloud_;
   FleetOptions options_;
+  net::InProcessTransport in_process_;
+  net::CloudTransport* transport_;  // options_.transport, else &in_process_.
   obs::Histogram& put_batch_us_;
   obs::Histogram& get_us_;
   std::atomic<size_t> outage_passed_{0};

@@ -5,6 +5,45 @@
 #include "tc/obs/flight_recorder.h"
 
 namespace tc::net {
+namespace {
+
+// How one attempt's reply ends its op (the judge's answer).
+enum class Verdict {
+  kOk,       ///< Success: counted ok; closes the breaker, refills budget.
+  kAnswer,   ///< Definitive non-failure answer (a txn abort): proves the
+             ///< provider alive like kOk, but is not counted ok.
+  kByStatus  ///< The reply's status decides: transient → retry,
+             ///< kDeadlineExceeded → give-up, anything else → answer.
+};
+
+template <typename T>
+Status StatusOf(const Result<T>& reply) {
+  return reply.status();
+}
+template <typename Reply>
+const Status& StatusOf(const Reply& reply) {
+  return reply.status;
+}
+
+// Judge of every op whose success is an OK reply.
+constexpr auto kOkReply = [](const auto& reply) {
+  return StatusOf(reply).ok() ? Verdict::kOk : Verdict::kByStatus;
+};
+
+// The reply of an op the channel ends itself (open breaker, dry retry
+// budget, exhausted deadline).
+template <typename T>
+Result<T> FailedReply(Result<T>*, Status status) {
+  return status;
+}
+template <typename Reply>
+Reply FailedReply(Reply*, Status status) {
+  Reply reply;
+  reply.status = std::move(status);
+  return reply;
+}
+
+}  // namespace
 
 ResilientChannel::Metrics::Metrics()
     : retries(obs::MetricRegistry::Global().GetCounter("cloud.retries")),
@@ -102,6 +141,79 @@ void ResilientChannel::RecordOpFailure(const Status& status,
   }
 }
 
+// The one attempt loop. Every op runs it with its own attempt call and
+// judge; the loop owns everything else, in this order per attempt:
+// breaker admit (once per op) → attempt under the op's OverloadContext →
+// retry-after hint → virtual-clock and deadline charge → judge → give-up
+// rule → retry budget → backoff (the jitter draw) → deadline check.
+template <typename Reply, typename Attempt, typename Judge>
+Reply ResilientChannel::Call(const char* what, Attempt&& attempt,
+                             Judge&& judge) {
+  if (!breaker_.AllowRequest(virtual_now_us_)) {
+    ++stats_.breaker_rejections;
+    return FailedReply(static_cast<Reply*>(nullptr),
+                       Status::Unavailable("circuit open to " + peer_ +
+                                           "'s provider (degraded mode)"));
+  }
+  DeadlineBudget budget(options_.op_deadline_us);
+  backoff_.Reset();
+  for (bool first = true;; first = false) {
+    ++stats_.attempts;
+    if (!first) {
+      ++stats_.retries;
+      metrics_.retries.Increment();
+    }
+    uint32_t delay_us = 0;
+    Reply reply = [&] {
+      ScopedOverloadContext attempt_scope(AttemptContext(budget));
+      return attempt(&delay_us);
+    }();
+    const uint32_t hint_us = TakeRetryAfterHint();
+    const uint64_t charged = options_.attempt_cost_us + delay_us;
+    virtual_now_us_ += charged;
+    bool in_budget = budget.Charge(charged);
+
+    const Verdict verdict = judge(reply);
+    if (verdict != Verdict::kByStatus) {
+      breaker_.RecordSuccess(virtual_now_us_);
+      retry_budget_.RecordSuccess();
+      if (verdict == Verdict::kOk) ++stats_.ops_ok;
+      return reply;
+    }
+    const Status status = StatusOf(reply);
+    if (status.IsDeadlineExceeded()) {
+      // A timed-out attempt is a give-up on every op: the provider did not
+      // answer within the time the transport allows.
+      RecordOpFailure(status, what);
+      return reply;
+    }
+    if (!status.IsTransient()) {
+      // kNotFound, kIntegrityViolation, kInvalidArgument, a rejected
+      // frame, ... are answers, not network failures: they never charge
+      // the breaker.
+      ++stats_.ops_failed;
+      return reply;
+    }
+    uint64_t delay = 0;
+    Status denied;
+    if (!AllowRetry(hint_us, what, &delay, &denied)) {
+      RecordOpFailure(denied, what);
+      return FailedReply(static_cast<Reply*>(nullptr), std::move(denied));
+    }
+    virtual_now_us_ += delay;
+    in_budget = budget.Charge(delay) && in_budget;
+    if (!in_budget) {
+      Status deadline = Status::DeadlineExceeded(
+          std::string(what) + " to " + peer_ +
+          "'s provider: unresolved after " +
+          std::to_string(budget.spent_us()) + "us (last: " +
+          status.ToString() + ")");
+      RecordOpFailure(deadline, what);
+      return FailedReply(static_cast<Reply*>(nullptr), std::move(deadline));
+    }
+  }
+}
+
 ResilientChannel::PutBatchResult ResilientChannel::PutBatch(
     const std::vector<std::pair<std::string, Bytes>>& items,
     std::vector<std::string> tokens) {
@@ -119,97 +231,47 @@ ResilientChannel::PutBatchResult ResilientChannel::PutBatch(
     return result;
   }
 
-  if (!breaker_.AllowRequest(virtual_now_us_)) {
-    ++stats_.breaker_rejections;
-    result.status = Status::Unavailable("circuit open to " + peer_ +
-                                        "'s provider (degraded mode)");
-    return result;
-  }
-
-  DeadlineBudget budget(options_.op_deadline_us);
-  backoff_.Reset();
+  // The first attempt sends the caller's vectors untouched; a retry sends
+  // the still-unacked subset, whose acks map back through sub_index.
   size_t unacked = items.size();
-  // First attempt sends the caller's vectors untouched; retry attempts
-  // materialize the still-unacked subset.
   std::vector<std::pair<std::string, Bytes>> sub_items;
   std::vector<std::string> sub_tokens;
   std::vector<size_t> sub_index;
-  bool first = true;
-  Status last_error;
-
-  for (;;) {
-    ++stats_.attempts;
-    ++result.attempts;
-    if (!first) {
-      ++stats_.retries;
-      metrics_.retries.Increment();
-    }
-    cloud::CloudInfrastructure::BatchPutOutcome outcome;
-    {
-      ScopedOverloadContext attempt_scope(AttemptContext(budget));
-      outcome = first ? transport_->PutBlobBatch(items, tokens)
-                      : transport_->PutBlobBatch(sub_items, sub_tokens);
-    }
-    const uint32_t hint_us = TakeRetryAfterHint();
-    const uint64_t charged = options_.attempt_cost_us + outcome.delay_us;
-    virtual_now_us_ += charged;
-    bool in_budget = budget.Charge(charged);
-
-    // Merge acked items back into caller coordinates.
-    for (size_t j = 0; j < outcome.acked.size(); ++j) {
-      if (!outcome.acked[j]) continue;
-      size_t i = first ? j : sub_index[j];
-      if (!result.acked[i]) {
-        result.acked[i] = 1;
-        result.versions[i] = outcome.versions[j];
-        --unacked;
-      }
-    }
-    if (unacked == 0) {
-      breaker_.RecordSuccess(virtual_now_us_);
-      retry_budget_.RecordSuccess();
-      ++stats_.ops_ok;
-      result.status = Status::OK();
-      return result;
-    }
-    if (!outcome.status.ok() && !outcome.status.IsTransient()) {
-      result.status = outcome.status;
-      RecordOpFailure(result.status, "put_batch");
-      return result;
-    }
-    last_error = outcome.status;
-
-    uint64_t delay = 0;
-    Status denied;
-    if (!AllowRetry(hint_us, "put_batch", &delay, &denied)) {
-      result.status = denied;
-      RecordOpFailure(result.status, "put_batch");
-      return result;
-    }
-    virtual_now_us_ += delay;
-    in_budget = budget.Charge(delay) && in_budget;
-    if (!in_budget) {
-      result.status = Status::DeadlineExceeded(
-          "put batch to " + peer_ + "'s space: " +
-          std::to_string(unacked) + " of " + std::to_string(items.size()) +
-          " items unacked after " + std::to_string(budget.spent_us()) +
-          "us (last: " + last_error.ToString() + ")");
-      RecordOpFailure(result.status, "put_batch");
-      return result;
-    }
-
-    // Rebuild the unacked subset for the retry.
-    sub_items.clear();
-    sub_tokens.clear();
-    sub_index.clear();
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (result.acked[i]) continue;
-      sub_items.push_back(items[i]);
-      sub_tokens.push_back(tokens[i]);
-      sub_index.push_back(i);
-    }
-    first = false;
-  }
+  BatchPutOutcome last = Call<BatchPutOutcome>(
+      "put_batch",
+      [&](uint32_t* delay_us) {
+        const bool first = ++result.attempts == 1;
+        if (!first) {
+          sub_items.clear();
+          sub_tokens.clear();
+          sub_index.clear();
+          for (size_t i = 0; i < items.size(); ++i) {
+            if (result.acked[i]) continue;
+            sub_items.push_back(items[i]);
+            sub_tokens.push_back(tokens[i]);
+            sub_index.push_back(i);
+          }
+        }
+        BatchPutOutcome outcome =
+            first ? transport_->PutBlobBatch(items, tokens)
+                  : transport_->PutBlobBatch(sub_items, sub_tokens);
+        *delay_us = outcome.delay_us;
+        return outcome;
+      },
+      [&](const BatchPutOutcome& outcome) {
+        for (size_t j = 0; j < outcome.acked.size(); ++j) {
+          if (!outcome.acked[j]) continue;
+          const size_t i = result.attempts == 1 ? j : sub_index[j];
+          if (!result.acked[i]) {
+            result.acked[i] = 1;
+            result.versions[i] = outcome.versions[j];
+            --unacked;
+          }
+        }
+        return unacked == 0 ? Verdict::kOk : Verdict::kByStatus;
+      });
+  if (unacked != 0) result.status = std::move(last.status);
+  return result;
 }
 
 Result<uint64_t> ResilientChannel::Put(const std::string& id,
@@ -224,301 +286,61 @@ Result<uint64_t> ResilientChannel::Put(const std::string& id,
   return result.versions[0];
 }
 
+Result<Bytes> ResilientChannel::Get(const std::string& id) {
+  return Call<Result<Bytes>>(
+      "get",
+      [&](uint32_t* delay_us) { return transport_->GetBlob(id, delay_us); },
+      kOkReply);
+}
+
 Result<cloud::SnapshotDescriptor> ResilientChannel::GetSnapshot() {
-  if (!breaker_.AllowRequest(virtual_now_us_)) {
-    ++stats_.breaker_rejections;
-    return Status::Unavailable("circuit open to " + peer_ +
-                               "'s provider (degraded mode)");
-  }
-  DeadlineBudget budget(options_.op_deadline_us);
-  backoff_.Reset();
-  bool first = true;
-  for (;;) {
-    ++stats_.attempts;
-    if (!first) {
-      ++stats_.retries;
-      metrics_.retries.Increment();
-    }
-    first = false;
-    uint32_t delay_us = 0;
-    Result<cloud::SnapshotDescriptor> snap = [&] {
-      ScopedOverloadContext attempt_scope(AttemptContext(budget));
-      return transport_->GetSnapshot(&delay_us);
-    }();
-    const uint32_t hint_us = TakeRetryAfterHint();
-    const uint64_t charged = options_.attempt_cost_us + delay_us;
-    virtual_now_us_ += charged;
-    bool in_budget = budget.Charge(charged);
-    if (snap.ok()) {
-      breaker_.RecordSuccess(virtual_now_us_);
-      retry_budget_.RecordSuccess();
-      ++stats_.ops_ok;
-      return snap;
-    }
-    if (!snap.status().IsTransient()) {
-      ++stats_.ops_failed;
-      return snap.status();
-    }
-    uint64_t delay = 0;
-    Status denied;
-    if (!AllowRetry(hint_us, "snapshot", &delay, &denied)) {
-      RecordOpFailure(denied, "snapshot");
-      return denied;
-    }
-    virtual_now_us_ += delay;
-    in_budget = budget.Charge(delay) && in_budget;
-    if (!in_budget) {
-      Status deadline = Status::DeadlineExceeded(
-          "snapshot: still unavailable after " +
-          std::to_string(budget.spent_us()) + "us (last: " +
-          snap.status().ToString() + ")");
-      RecordOpFailure(deadline, "snapshot");
-      return deadline;
-    }
-  }
+  return Call<Result<cloud::SnapshotDescriptor>>(
+      "snapshot",
+      [&](uint32_t* delay_us) { return transport_->GetSnapshot(delay_us); },
+      kOkReply);
 }
 
 Result<cloud::SnapshotRead> ResilientChannel::GetAtSnapshot(
     const std::string& id, const cloud::SnapshotDescriptor& snap) {
-  if (!breaker_.AllowRequest(virtual_now_us_)) {
-    ++stats_.breaker_rejections;
-    return Status::Unavailable("circuit open to " + peer_ +
-                               "'s provider (degraded mode)");
-  }
-  DeadlineBudget budget(options_.op_deadline_us);
-  backoff_.Reset();
-  bool first = true;
-  for (;;) {
-    ++stats_.attempts;
-    if (!first) {
-      ++stats_.retries;
-      metrics_.retries.Increment();
-    }
-    first = false;
-    uint32_t delay_us = 0;
-    Result<cloud::SnapshotRead> read = [&] {
-      ScopedOverloadContext attempt_scope(AttemptContext(budget));
-      return transport_->GetAtSnapshot(id, snap, &delay_us);
-    }();
-    const uint32_t hint_us = TakeRetryAfterHint();
-    const uint64_t charged = options_.attempt_cost_us + delay_us;
-    virtual_now_us_ += charged;
-    bool in_budget = budget.Charge(charged);
-    if (read.ok()) {
-      breaker_.RecordSuccess(virtual_now_us_);
-      retry_budget_.RecordSuccess();
-      ++stats_.ops_ok;
-      return read;
-    }
-    if (!read.status().IsTransient()) {
-      // kNotFound is an answer: the blob has no visible version.
-      ++stats_.ops_failed;
-      return read.status();
-    }
-    uint64_t delay = 0;
-    Status denied;
-    if (!AllowRetry(hint_us, "snapshot_get", &delay, &denied)) {
-      RecordOpFailure(denied, "snapshot_get");
-      return denied;
-    }
-    virtual_now_us_ += delay;
-    in_budget = budget.Charge(delay) && in_budget;
-    if (!in_budget) {
-      Status deadline = Status::DeadlineExceeded(
-          "snapshot get " + id + ": still unavailable after " +
-          std::to_string(budget.spent_us()) + "us (last: " +
-          read.status().ToString() + ")");
-      RecordOpFailure(deadline, "snapshot_get");
-      return deadline;
-    }
-  }
+  return Call<Result<cloud::SnapshotRead>>(
+      "snapshot_get",
+      [&](uint32_t* delay_us) {
+        return transport_->GetAtSnapshot(id, snap, delay_us);
+      },
+      kOkReply);
 }
 
 cloud::TxnOutcome ResilientChannel::CommitTxn(const cloud::TxnRequest& req) {
-  cloud::TxnOutcome out;
-  if (!breaker_.AllowRequest(virtual_now_us_)) {
-    ++stats_.breaker_rejections;
-    out.status = Status::Unavailable("circuit open to " + peer_ +
-                                     "'s provider (degraded mode)");
-    return out;
-  }
-  DeadlineBudget budget(options_.op_deadline_us);
-  backoff_.Reset();
-  bool first = true;
-  Status last_error;
-  for (;;) {
-    ++stats_.attempts;
-    if (!first) {
-      ++stats_.retries;
-      metrics_.retries.Increment();
-    }
-    first = false;
-    cloud::TxnOutcome outcome;
-    {
-      ScopedOverloadContext attempt_scope(AttemptContext(budget));
-      outcome = transport_->CommitTxn(req);
-    }
-    const uint32_t hint_us = TakeRetryAfterHint();
-    const uint64_t charged = options_.attempt_cost_us + outcome.delay_us;
-    virtual_now_us_ += charged;
-    bool in_budget = budget.Charge(charged);
-    if (outcome.committed) {
-      breaker_.RecordSuccess(virtual_now_us_);
-      retry_budget_.RecordSuccess();
-      ++stats_.ops_ok;
-      ++stats_.txns_committed;
-      return outcome;
-    }
-    if (outcome.status.IsAborted()) {
-      // A definitive provider answer, not a network failure: the caller
-      // refreshes its snapshot and rebuilds under the same token.
-      breaker_.RecordSuccess(virtual_now_us_);
-      retry_budget_.RecordSuccess();
-      ++stats_.txns_aborted;
-      return outcome;
-    }
-    if (!outcome.status.IsTransient()) {
-      RecordOpFailure(outcome.status, "txn_commit");
-      return outcome;
-    }
-    last_error = outcome.status;
-    uint64_t delay = 0;
-    Status denied;
-    if (!AllowRetry(hint_us, "txn_commit", &delay, &denied)) {
-      out.status = denied;
-      RecordOpFailure(out.status, "txn_commit");
-      return out;
-    }
-    virtual_now_us_ += delay;
-    in_budget = budget.Charge(delay) && in_budget;
-    if (!in_budget) {
-      out.status = Status::DeadlineExceeded(
-          "txn " + req.token + ": unresolved after " +
-          std::to_string(budget.spent_us()) + "us (last: " +
-          last_error.ToString() + ")");
-      RecordOpFailure(out.status, "txn_commit");
-      return out;
-    }
-  }
+  return Call<cloud::TxnOutcome>(
+      "txn_commit",
+      [&](uint32_t* delay_us) {
+        cloud::TxnOutcome outcome = transport_->CommitTxn(req);
+        *delay_us = outcome.delay_us;
+        return outcome;
+      },
+      [&](const cloud::TxnOutcome& outcome) {
+        if (outcome.committed) {
+          ++stats_.txns_committed;
+          return Verdict::kOk;
+        }
+        if (outcome.status.IsAborted()) {
+          // A definitive provider answer, not a network failure: the
+          // caller refreshes its snapshot and rebuilds under the same token.
+          ++stats_.txns_aborted;
+          return Verdict::kAnswer;
+        }
+        return Verdict::kByStatus;
+      });
 }
 
 obs::TelemetryHub::ReportOutcome ResilientChannel::ReportTelemetry(
     const Bytes& frame) {
-  obs::TelemetryHub::ReportOutcome outcome;
-  if (!breaker_.AllowRequest(virtual_now_us_)) {
-    ++stats_.breaker_rejections;
-    outcome.status = Status::Unavailable("circuit open to " + peer_ +
-                                         "'s provider (degraded mode)");
-    return outcome;
-  }
-  DeadlineBudget budget(options_.op_deadline_us);
-  backoff_.Reset();
-  bool first = true;
-  for (;;) {
-    ++stats_.attempts;
-    if (!first) {
-      ++stats_.retries;
-      metrics_.retries.Increment();
-    }
-    first = false;
-    uint32_t delay_us = 0;
-    {
-      ScopedOverloadContext attempt_scope(AttemptContext(budget));
-      outcome = transport_->ReportTelemetry(frame, &delay_us);
-    }
-    const uint32_t hint_us = TakeRetryAfterHint();
-    const uint64_t charged = options_.attempt_cost_us + delay_us;
-    virtual_now_us_ += charged;
-    bool in_budget = budget.Charge(charged);
-    if (outcome.status.ok()) {
-      breaker_.RecordSuccess(virtual_now_us_);
-      retry_budget_.RecordSuccess();
-      ++stats_.ops_ok;
-      return outcome;
-    }
-    if (!outcome.status.IsTransient()) {
-      // A frame the hub rejects (corrupt, missing source) is an answer:
-      // resending identical bytes cannot change it.
-      ++stats_.ops_failed;
-      return outcome;
-    }
-    uint64_t delay = 0;
-    Status denied;
-    if (!AllowRetry(hint_us, "telemetry", &delay, &denied)) {
-      RecordOpFailure(denied, "telemetry");
-      outcome = obs::TelemetryHub::ReportOutcome{};
-      outcome.status = denied;
-      return outcome;
-    }
-    virtual_now_us_ += delay;
-    in_budget = budget.Charge(delay) && in_budget;
-    if (!in_budget) {
-      Status deadline = Status::DeadlineExceeded(
-          "telemetry report: still unavailable after " +
-          std::to_string(budget.spent_us()) + "us (last: " +
-          outcome.status.ToString() + ")");
-      RecordOpFailure(deadline, "telemetry");
-      outcome = obs::TelemetryHub::ReportOutcome{};
-      outcome.status = deadline;
-      return outcome;
-    }
-  }
-}
-
-Result<Bytes> ResilientChannel::Get(const std::string& id) {
-  if (!breaker_.AllowRequest(virtual_now_us_)) {
-    ++stats_.breaker_rejections;
-    return Status::Unavailable("circuit open to " + peer_ +
-                               "'s provider (degraded mode)");
-  }
-  DeadlineBudget budget(options_.op_deadline_us);
-  backoff_.Reset();
-  bool first = true;
-  for (;;) {
-    ++stats_.attempts;
-    if (!first) {
-      ++stats_.retries;
-      metrics_.retries.Increment();
-    }
-    first = false;
-    uint32_t delay_us = 0;
-    Result<Bytes> data = [&] {
-      ScopedOverloadContext attempt_scope(AttemptContext(budget));
-      return transport_->GetBlob(id, &delay_us);
-    }();
-    const uint32_t hint_us = TakeRetryAfterHint();
-    const uint64_t charged = options_.attempt_cost_us + delay_us;
-    virtual_now_us_ += charged;
-    bool in_budget = budget.Charge(charged);
-    if (data.ok()) {
-      breaker_.RecordSuccess(virtual_now_us_);
-      retry_budget_.RecordSuccess();
-      ++stats_.ops_ok;
-      return data;
-    }
-    if (!data.status().IsTransient()) {
-      // kNotFound, kIntegrityViolation, ... are answers, not network
-      // failures: they do not trip the breaker.
-      ++stats_.ops_failed;
-      return data.status();
-    }
-    uint64_t delay = 0;
-    Status denied;
-    if (!AllowRetry(hint_us, "get", &delay, &denied)) {
-      RecordOpFailure(denied, "get");
-      return denied;
-    }
-    virtual_now_us_ += delay;
-    in_budget = budget.Charge(delay) && in_budget;
-    if (!in_budget) {
-      Status deadline = Status::DeadlineExceeded(
-          "get " + id + ": still unavailable after " +
-          std::to_string(budget.spent_us()) + "us (last: " +
-          data.status().ToString() + ")");
-      RecordOpFailure(deadline, "get");
-      return deadline;
-    }
-  }
+  return Call<obs::TelemetryHub::ReportOutcome>(
+      "telemetry",
+      [&](uint32_t* delay_us) {
+        return transport_->ReportTelemetry(frame, delay_us);
+      },
+      kOkReply);
 }
 
 }  // namespace tc::net

@@ -30,7 +30,7 @@ struct ChannelOptions {
   uint64_t attempt_cost_us = 2000;
   uint64_t seed = 1;
   /// Token-bucket cap on retries (see RetryBudgetPolicy): a dry bucket
-  /// fails the op kResourceExhausted instead of amplifying an outage.
+  /// fails the op kDeadlineExceeded instead of amplifying an outage.
   RetryBudgetPolicy retry_budget;
   /// Criticality class every attempt is tagged with (rides the wire flags
   /// and decides the provider's shed order). Mutable per-leg via
@@ -186,18 +186,30 @@ class ResilientChannel {
     obs::Counter& pushbacks;            // net.pushbacks
   };
 
+  using BatchPutOutcome = CloudTransport::BatchPutOutcome;
+
+  /// The one attempt loop every op runs (defined in channel.cc): breaker
+  /// admit, deadline budget, the attempt's OverloadContext, retry-after
+  /// hint, virtual-clock charge, give-up rule, retry budget, backoff and
+  /// stats. An op supplies only `attempt(uint32_t* delay_us) -> Reply`
+  /// (one network attempt) and `judge(const Reply&)`, which classifies the
+  /// reply (and, for put batches, merges its acks). Returns the reply that
+  /// ended the op, or one carrying the channel's own give-up status.
+  template <typename Reply, typename Attempt, typename Judge>
+  Reply Call(const char* what, Attempt&& attempt, Judge&& judge);
+
   std::string MintToken();
-  /// Charges an op-level failure to the breaker; fires the give-up dump if
-  /// this failure is a deadline exhaustion that opened the circuit.
+  /// Charges an op-level give-up to the breaker; fires the give-up dump if
+  /// it is a deadline exhaustion that opened the circuit.
   void RecordOpFailure(const Status& status, const std::string& what);
   /// The OverloadContext to arm around one attempt: remaining op budget
   /// (when propagation is on) + the channel's criticality class.
   OverloadContext AttemptContext(const DeadlineBudget& budget) const;
-  /// Retry gate shared by every op loop: counts the attempt's pushback
-  /// hint, spends one retry-budget token and computes the next delay
-  /// (backoff stretched to honor the server's retry-after). Returns false
-  /// when the bucket is dry — the op must fail with `*denied` instead of
-  /// retrying (this is what caps fleet-wide retry amplification).
+  /// Retry gate of the attempt loop: counts the attempt's pushback hint,
+  /// spends one retry-budget token and computes the next delay (backoff
+  /// stretched to honor the server's retry-after). Returns false when the
+  /// bucket is dry — the op must fail with `*denied` instead of retrying
+  /// (this is what caps fleet-wide retry amplification).
   bool AllowRetry(uint32_t hint_us, const char* what, uint64_t* delay_us,
                   Status* denied);
 

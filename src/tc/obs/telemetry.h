@@ -131,13 +131,6 @@ class TelemetryShipper {
   /// receives the pending sequence number (what Acked expects).
   const Bytes* BuildEncoded(uint64_t* seq_out);
 
-  /// In-process fast path: the pending frame itself (cut if necessary), or
-  /// nullptr when there is nothing to ship. Reporters in the hub's own
-  /// process hand this straight to TelemetryHub::Report — no codec
-  /// round-trip, same retry-the-identical-frame contract. Valid until the
-  /// next BuildFrame/BuildEncoded/Acked call.
-  const TelemetryFrame* BuildPending();
-
   /// The hub acknowledged `seq` (applied or deduplicated — both advance).
   /// Acks for any other seq are ignored.
   void Acked(uint64_t seq);

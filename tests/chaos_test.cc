@@ -58,7 +58,6 @@ FleetOptions ChaosFleet() {
   options.gets_per_round = 4;
   options.docs_per_cell = 16;
   options.payload_bytes = 64;
-  options.resilient = true;
   return options;
 }
 

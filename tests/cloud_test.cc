@@ -105,8 +105,12 @@ TEST(BlobStoreTest, ShardedStoreBehavesLikeOneStore) {
 TEST(BlobStoreTest, PutBatchAssignsVersionsInInputOrder) {
   BlobStore store(4);
   std::vector<std::pair<std::string, Bytes>> batch;
-  for (int i = 0; i < 10; ++i) batch.emplace_back("k", Bytes{uint8_t(i)});
-  std::vector<uint64_t> versions = store.PutBatch(batch);
+  std::vector<std::string> tokens;
+  for (int i = 0; i < 10; ++i) {
+    batch.emplace_back("k", Bytes{uint8_t(i)});
+    tokens.push_back("t" + std::to_string(i));
+  }
+  std::vector<uint64_t> versions = store.PutBatchIdempotent(batch, tokens);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(versions[i], uint64_t(i) + 1);
   EXPECT_EQ(*store.Get("k"), Bytes{uint8_t(9)});
   EXPECT_EQ(store.total_bytes(), 10u);
@@ -710,13 +714,6 @@ TEST(EdgeTableTest, ReportTelemetryEncoded) {
   const Bytes encoded = obs::EncodeTelemetryFrame(EdgeFrame());
   ExpectReportRows([&](CloudInfrastructure* cloud, uint32_t* delay_us) {
     return cloud->ReportTelemetryRpc(encoded, delay_us);
-  });
-}
-
-TEST(EdgeTableTest, ReportTelemetryFrame) {
-  const obs::TelemetryFrame frame = EdgeFrame();
-  ExpectReportRows([&](CloudInfrastructure* cloud, uint32_t* delay_us) {
-    return cloud->ReportTelemetryRpc(frame, delay_us);
   });
 }
 

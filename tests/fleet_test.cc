@@ -261,7 +261,10 @@ TEST(CloudConcurrencyTest, PutBlobBatchMatchesSequentialPuts) {
   std::vector<std::pair<std::string, Bytes>> batch = {
       {"a", ToBytes("a1")}, {"b", ToBytes("b1")}, {"a", ToBytes("a2")},
       {"c", ToBytes("c1")}};
-  std::vector<uint64_t> versions = cloud.PutBlobBatch(batch);
+  CloudInfrastructure::BatchPutOutcome outcome =
+      cloud.PutBlobBatchRpc(batch, {"t/a1", "t/b1", "t/a2", "t/c1"});
+  ASSERT_TRUE(outcome.all_acked()) << outcome.status.ToString();
+  const std::vector<uint64_t>& versions = outcome.versions;
   ASSERT_EQ(versions.size(), 4u);
   EXPECT_EQ(versions[0], 1u);
   EXPECT_EQ(versions[1], 1u);
@@ -396,6 +399,28 @@ TEST(FleetRunnerTest, RejectsEmptyWorkload) {
   options.put_batch = 100;
   options.docs_per_cell = 10;
   EXPECT_FALSE(FleetRunner(&cloud, options).Run().ok());
+}
+
+TEST(FleetRunnerTest, CleanRunPinsExactVersions) {
+  // Only a cell writes its own docs, so on a run where its channel never
+  // retried or deferred, every ack must be exactly the previous ack + 1.
+  // A version it did not write (planted here) convicts the cell.
+  CloudInfrastructure cloud;
+  ASSERT_TRUE(cloud.PutBlobBatchRpc({{"fleet/cell0/doc0", ToBytes("x")}},
+                                    {"planted"})
+                  .all_acked());
+  FleetOptions options;
+  options.cells = 1;
+  options.threads = 1;
+  options.rounds_per_cell = 2;
+  options.docs_per_cell = 8;
+  auto report = FleetRunner(&cloud, options).Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->cells_failed, 1u);
+  EXPECT_EQ(report->cells[0].status.code(), StatusCode::kInternal);
+  EXPECT_NE(report->cells[0].status.ToString().find("non-monotonic"),
+            std::string::npos)
+      << report->cells[0].status.ToString();
 }
 
 TEST(FleetRunnerTest, TamperingAdversaryPropagatesPerCellErrors) {

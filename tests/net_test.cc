@@ -9,11 +9,15 @@
 
 #include "tc/cloud/fault_injector.h"
 #include "tc/cloud/infrastructure.h"
+#include "tc/cloud/txn.h"
+#include "tc/common/overload.h"
 #include "tc/common/rng.h"
 #include "tc/net/backoff.h"
 #include "tc/net/channel.h"
 #include "tc/net/circuit_breaker.h"
 #include "tc/net/outbox.h"
+#include "tc/net/transport.h"
+#include "tc/obs/telemetry.h"
 #include "tc/storage/page_transform.h"
 
 namespace tc::net {
@@ -378,6 +382,436 @@ TEST(ChannelTest, PartialBatchReportsPerItemTruth) {
   EXPECT_FALSE(failed.status.ok());
   // Nothing could land during a full outage — per-item truth agrees.
   for (int i = 0; i < 4; ++i) EXPECT_FALSE(failed.acked[i]);
+}
+
+// ---- One retry contract across the six channel ops ----
+
+// A CloudTransport whose attempts follow a script: attempt n takes
+// script[n-1] (then `tail` once the script runs out) and is otherwise
+// served by an honest in-process provider. Records each attempt's
+// idempotency key and the overload context the channel armed for it.
+class ScriptedTransport final : public CloudTransport {
+ public:
+  enum class Fault {
+    kNone,
+    kDropRequest,  ///< kUnavailable; the provider never saw it.
+    kDropAck,      ///< kUnavailable; the provider applied it.
+    kPushback,     ///< kResourceExhausted with a retry-after hint.
+    kTimeout,      ///< kDeadlineExceeded (a response timeout).
+    kAnswer,       ///< The definitive `answer`.
+  };
+
+  explicit ScriptedTransport(CloudInfrastructure* cloud) : inner_(cloud) {}
+
+  std::vector<Fault> script;
+  Fault tail = Fault::kNone;
+  uint32_t hint_us = 0;
+  Status answer;
+  std::vector<std::string> keys;
+  std::vector<OverloadContext> contexts;
+
+  BatchPutOutcome PutBlobBatch(
+      const std::vector<std::pair<std::string, Bytes>>& items,
+      const std::vector<std::string>& tokens) override {
+    std::string key;
+    for (const std::string& token : tokens) {
+      key += token;
+      key += ';';
+    }
+    return Serve<BatchPutOutcome>(
+        key, [&] { return inner_.PutBlobBatch(items, tokens); });
+  }
+  Result<Bytes> GetBlob(const std::string& id, uint32_t* delay_us) override {
+    return Serve<Result<Bytes>>(
+        id, [&] { return inner_.GetBlob(id, delay_us); });
+  }
+  Result<cloud::SnapshotDescriptor> GetSnapshot(uint32_t* delay_us) override {
+    return Serve<Result<cloud::SnapshotDescriptor>>(
+        "snapshot", [&] { return inner_.GetSnapshot(delay_us); });
+  }
+  Result<cloud::SnapshotRead> GetAtSnapshot(
+      const std::string& id, const cloud::SnapshotDescriptor& snap,
+      uint32_t* delay_us) override {
+    return Serve<Result<cloud::SnapshotRead>>(
+        id, [&] { return inner_.GetAtSnapshot(id, snap, delay_us); });
+  }
+  cloud::TxnOutcome CommitTxn(const cloud::TxnRequest& req) override {
+    return Serve<cloud::TxnOutcome>(req.token,
+                                    [&] { return inner_.CommitTxn(req); });
+  }
+  obs::TelemetryHub::ReportOutcome ReportTelemetry(
+      const Bytes& frame, uint32_t* delay_us) override {
+    return Serve<obs::TelemetryHub::ReportOutcome>(
+        std::string(frame.begin(), frame.end()),
+        [&] { return inner_.ReportTelemetry(frame, delay_us); });
+  }
+  Result<std::string> ScrapeTelemetry(uint32_t* delay_us) override {
+    return inner_.ScrapeTelemetry(delay_us);
+  }
+  std::string name() const override { return "scripted"; }
+
+ private:
+  // The reply of an attempt that failed with `status`.
+  template <typename T>
+  static Result<T> Failed(Result<T>*, Status status) {
+    return status;
+  }
+  template <typename Reply>
+  static Reply Failed(Reply*, Status status) {
+    Reply reply;
+    reply.status = std::move(status);
+    return reply;
+  }
+
+  template <typename Reply, typename Execute>
+  Reply Serve(std::string key, Execute execute) {
+    keys.push_back(std::move(key));
+    contexts.push_back(CurrentOverloadContext());
+    const size_t n = keys.size();
+    Status failed;
+    switch (n <= script.size() ? script[n - 1] : tail) {
+      case Fault::kNone:
+        return execute();
+      case Fault::kDropRequest:
+        failed = Status::Unavailable("scripted: request lost");
+        break;
+      case Fault::kDropAck:
+        (void)execute();
+        failed = Status::Unavailable("scripted: ack lost");
+        break;
+      case Fault::kPushback:
+        SetRetryAfterHint(hint_us);
+        failed = Status::ResourceExhausted("scripted: shed");
+        break;
+      case Fault::kTimeout:
+        failed = Status::DeadlineExceeded("scripted: response timeout");
+        break;
+      case Fault::kAnswer:
+        failed = answer;
+        break;
+    }
+    return Failed(static_cast<Reply*>(nullptr), std::move(failed));
+  }
+
+  InProcessTransport inner_;
+};
+
+enum class Op { kPut, kGet, kSnapshot, kSnapshotGet, kCommit, kTelemetry };
+constexpr Op kAllOps[] = {Op::kPut,         Op::kGet,    Op::kSnapshot,
+                          Op::kSnapshotGet, Op::kCommit, Op::kTelemetry};
+
+const char* OpName(Op op) {
+  switch (op) {
+    case Op::kPut: return "put";
+    case Op::kGet: return "get";
+    case Op::kSnapshot: return "snapshot";
+    case Op::kSnapshotGet: return "snapshot_get";
+    case Op::kCommit: return "commit";
+    case Op::kTelemetry: return "telemetry";
+  }
+  return "?";
+}
+
+/// The definitive answer each op can get from an honest provider.
+StatusCode AnswerOf(Op op) {
+  switch (op) {
+    case Op::kPut: return StatusCode::kInvalidArgument;
+    case Op::kGet: return StatusCode::kNotFound;
+    case Op::kSnapshot: return StatusCode::kInvalidArgument;
+    case Op::kSnapshotGet: return StatusCode::kNotFound;
+    case Op::kCommit: return StatusCode::kAborted;
+    case Op::kTelemetry: return StatusCode::kCorruption;  // Rejected frame.
+  }
+  return StatusCode::kInternal;
+}
+
+/// A provider holding one blob (what the reads read), a snapshot of it,
+/// and a channel to it over a ScriptedTransport.
+struct ChannelRig {
+  explicit ChannelRig(const ChannelOptions& options = ChannelOptions{})
+      : transport(&cloud), channel(&transport, "alice", options) {
+    (void)cloud.PutBlobBatchRpc({{"doc", ToBytes("stored")}}, {"seed/doc"});
+    snapshot = *cloud.GetSnapshotRpc();
+    obs::TelemetryFrame report;
+    report.source = "alice";
+    report.seq = 1;
+    report.delta.counters["alice.ops"] = 1;
+    frame = obs::EncodeTelemetryFrame(report);
+  }
+
+  /// Runs `op` once through the channel; returns its status.
+  Status Run(Op op) {
+    switch (op) {
+      case Op::kPut: {
+        const std::string token = "alice|doc|v2";
+        return channel.Put("doc", ToBytes("fresh"), &token).status();
+      }
+      case Op::kGet:
+        return channel.Get("doc").status();
+      case Op::kSnapshot:
+        return channel.GetSnapshot().status();
+      case Op::kSnapshotGet:
+        return channel.GetAtSnapshot("doc", snapshot).status();
+      case Op::kCommit: {
+        cloud::TxnRequest req;
+        req.token = "alice/txn1";
+        req.snapshot = snapshot;
+        req.writes.push_back({"counter", ToBytes("1"), cloud::kBaseVersionAny});
+        return channel.CommitTxn(req).status;
+      }
+      case Op::kTelemetry:
+        return channel.ReportTelemetry(frame).status;
+    }
+    return Status::Internal("unknown op");
+  }
+
+  /// How many times the op's write landed at the provider (reads: 0).
+  uint64_t Effects(Op op) {
+    switch (op) {
+      case Op::kPut:
+        return *cloud.LatestBlobVersion("doc") - 1;  // v1 is the seed.
+      case Op::kCommit: {
+        auto version = cloud.LatestBlobVersion("counter");
+        return version.ok() ? *version : 0;
+      }
+      case Op::kTelemetry:
+        return cloud.telemetry_hub().stats().applied;
+      default:
+        return 0;
+    }
+  }
+
+  CloudInfrastructure cloud;
+  ScriptedTransport transport;
+  ResilientChannel channel;
+  cloud::SnapshotDescriptor snapshot;
+  Bytes frame;
+};
+
+bool Writes(Op op) {
+  return op == Op::kPut || op == Op::kCommit || op == Op::kTelemetry;
+}
+
+TEST(ChannelTest, DroppedRequestIsRetried) {
+  for (Op op : kAllOps) {
+    SCOPED_TRACE(OpName(op));
+    ChannelRig rig;
+    rig.transport.script = {ScriptedTransport::Fault::kDropRequest};
+    Status status = rig.Run(op);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(rig.channel.stats().attempts, 2u);
+    EXPECT_EQ(rig.channel.stats().retries, 1u);
+    EXPECT_EQ(rig.channel.stats().ops_ok, 1u);
+    EXPECT_EQ(rig.Effects(op), Writes(op) ? 1u : 0u);
+    // Each attempt runs under the op's decaying deadline and its class.
+    ASSERT_EQ(rig.transport.contexts.size(), 2u);
+    EXPECT_GT(rig.transport.contexts[0].budget_us,
+              rig.transport.contexts[1].budget_us);
+    EXPECT_EQ(rig.transport.contexts[1].criticality, Criticality::kNormal);
+  }
+}
+
+TEST(ChannelTest, LostAckIsRetriedUnderTheSameKey) {
+  for (Op op : kAllOps) {
+    SCOPED_TRACE(OpName(op));
+    ChannelRig rig;
+    rig.transport.script = {ScriptedTransport::Fault::kDropAck};
+    Status status = rig.Run(op);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    ASSERT_EQ(rig.transport.keys.size(), 2u);
+    EXPECT_EQ(rig.transport.keys[0], rig.transport.keys[1]);
+    // The retry is answered from the provider's token/dedup table.
+    EXPECT_EQ(rig.Effects(op), Writes(op) ? 1u : 0u);
+  }
+}
+
+TEST(ChannelTest, OutageEndsInDeadlineThenFailsFast) {
+  for (Op op : kAllOps) {
+    SCOPED_TRACE(OpName(op));
+    ChannelOptions options;
+    options.op_deadline_us = 20000;
+    ChannelRig rig(options);
+    rig.transport.tail = ScriptedTransport::Fault::kDropRequest;
+    for (int i = 0; i < 3; ++i) {
+      Status status = rig.Run(op);
+      EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
+          << status.ToString();
+    }
+    EXPECT_TRUE(rig.channel.degraded());
+    EXPECT_EQ(rig.channel.stats().breaker_opens, 1u);
+    EXPECT_EQ(rig.channel.stats().give_ups, 1u);
+    const uint64_t attempts = rig.channel.stats().attempts;
+    EXPECT_EQ(rig.Run(op).code(), StatusCode::kUnavailable);
+    EXPECT_EQ(rig.channel.stats().attempts, attempts);  // O(1), no attempt.
+    EXPECT_EQ(rig.channel.stats().breaker_rejections, 1u);
+  }
+}
+
+TEST(ChannelTest, RetryAfterHintIsHonoured) {
+  for (Op op : kAllOps) {
+    SCOPED_TRACE(OpName(op));
+    ChannelRig rig;
+    rig.transport.hint_us = 60000;  // Far above the first backoff draw.
+    rig.transport.script = {ScriptedTransport::Fault::kPushback};
+    Status status = rig.Run(op);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(rig.channel.stats().attempts, 2u);
+    EXPECT_EQ(rig.channel.stats().pushbacks, 1u);
+    const uint64_t attempt_cost = 2 * ChannelOptions{}.attempt_cost_us;
+    EXPECT_GE(rig.channel.virtual_now_us(), attempt_cost + 60000);
+  }
+}
+
+TEST(ChannelTest, DryRetryBudgetGivesUp) {
+  for (Op op : kAllOps) {
+    SCOPED_TRACE(OpName(op));
+    ChannelOptions options;
+    options.retry_budget.capacity = 0.5;  // Less than one retry.
+    ChannelRig rig(options);
+    rig.transport.script = {ScriptedTransport::Fault::kDropRequest};
+    Status status = rig.Run(op);
+    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_NE(status.ToString().find("retry budget exhausted"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(rig.channel.stats().attempts, 1u);
+    EXPECT_EQ(rig.channel.stats().retry_budget_denied, 1u);
+  }
+}
+
+TEST(ChannelTest, DefinitiveAnswerTakesOneAttempt) {
+  for (Op op : kAllOps) {
+    SCOPED_TRACE(OpName(op));
+    ChannelRig rig;
+    rig.transport.answer = Status(AnswerOf(op), "scripted answer");
+    rig.transport.script = {ScriptedTransport::Fault::kAnswer};
+    EXPECT_EQ(rig.Run(op).code(), AnswerOf(op));
+    EXPECT_EQ(rig.channel.stats().attempts, 1u);
+    EXPECT_EQ(rig.channel.stats().retries, 0u);
+  }
+}
+
+// One give-up rule: a timed-out attempt (kDeadlineExceeded, e.g. the
+// socket client's response timeout) ends the op and charges the breaker
+// on every op, so a cell whose provider's reads time out goes degraded.
+TEST(ChannelTest, TimedOutAttemptIsAGiveUpOnEveryOp) {
+  for (Op op : kAllOps) {
+    SCOPED_TRACE(OpName(op));
+    ChannelRig rig;
+    rig.transport.tail = ScriptedTransport::Fault::kTimeout;
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(rig.Run(op).code(), StatusCode::kDeadlineExceeded);
+    }
+    EXPECT_EQ(rig.channel.stats().attempts, 3u);  // Never retried.
+    EXPECT_EQ(rig.channel.stats().deadline_exceeded, 3u);
+    EXPECT_TRUE(rig.channel.degraded());
+    EXPECT_EQ(rig.channel.stats().breaker_opens, 1u);
+  }
+}
+
+// ... and a definitive answer never charges the breaker, on any op.
+TEST(ChannelTest, DefinitiveAnswersNeverChargeTheBreaker) {
+  const StatusCode answers[] = {
+      StatusCode::kNotFound, StatusCode::kIntegrityViolation,
+      StatusCode::kAborted, StatusCode::kInvalidArgument,
+      StatusCode::kCorruption};
+  for (Op op : kAllOps) {
+    for (StatusCode answer : answers) {
+      SCOPED_TRACE(std::string(OpName(op)) + " answered " +
+                   std::string(StatusCodeToString(answer)));
+      ChannelRig rig;
+      rig.transport.answer = Status(answer, "scripted answer");
+      rig.transport.tail = ScriptedTransport::Fault::kAnswer;
+      for (int i = 0; i < 3; ++i) EXPECT_EQ(rig.Run(op).code(), answer);
+      EXPECT_FALSE(rig.channel.degraded());
+      EXPECT_EQ(rig.channel.stats().breaker_opens, 0u);
+      EXPECT_EQ(rig.channel.stats().deadline_exceeded, 0u);
+    }
+  }
+}
+
+// Golden replay: a fixed lossy schedule (lost requests and acks,
+// duplicates, torn batches, throttling, delays) and a forced outage run
+// through each op. Pins the engine's retry decisions, draw for draw.
+TEST(ChannelTest, FixedScheduleReplaysToPinnedCounts) {
+  struct Golden {
+    Op op;
+    uint64_t attempts;
+    uint64_t retries;
+    uint64_t virtual_now_us;
+    double retry_tokens;
+    uint64_t ops_ok;
+  };
+  // Recorded before the six per-op retry loops were folded into one.
+  const Golden kGolden[] = {
+      {Op::kPut, 52, 12, 8153289, 0.59999999999999531, 28},
+      {Op::kGet, 49, 9, 8176791, 1.7999999999999987, 28},
+      {Op::kSnapshot, 49, 9, 8176791, 1.7999999999999987, 28},
+      {Op::kSnapshotGet, 49, 9, 8176791, 1.7999999999999987, 28},
+      {Op::kCommit, 51, 11, 8178583, 1.0999999999999972, 28},
+      {Op::kTelemetry, 51, 11, 8132389, 1.5999999999999996, 29},
+  };
+  for (const Golden& golden : kGolden) {
+    SCOPED_TRACE(OpName(golden.op));
+    CloudInfrastructure cloud;
+    (void)cloud.PutBlobBatchRpc({{"doc", ToBytes("stored")}}, {"seed/doc"});
+    const cloud::SnapshotDescriptor snapshot = *cloud.GetSnapshotRpc();
+    NetworkFaultConfig config = NetworkFaultConfig::Lossy(0.3, 17);
+    config.delay_prob = 0.3;
+    NetworkFaultInjector injector(config);
+    cloud.set_fault_injector(&injector);
+
+    ChannelOptions options;
+    options.op_deadline_us = 60000;
+    options.seed = 23;
+    // Real elapsed time must not decide an in-process deadline shed here.
+    options.propagate_deadline = false;
+    ResilientChannel channel(&cloud, "alice", options);
+    for (uint64_t i = 0; i < 40; ++i) {
+      if (i == 15) injector.ForceOutage(true);
+      if (i == 25) injector.ForceOutage(false);
+      if (channel.degraded()) {
+        channel.AdvanceVirtualTime(options.breaker.open_cooldown_us);
+      }
+      switch (golden.op) {
+        case Op::kPut:
+          (void)channel.Put("doc" + std::to_string(i % 4), ToBytes("p"));
+          break;
+        case Op::kGet:
+          (void)channel.Get("doc");
+          break;
+        case Op::kSnapshot:
+          (void)channel.GetSnapshot();
+          break;
+        case Op::kSnapshotGet:
+          (void)channel.GetAtSnapshot("doc", snapshot);
+          break;
+        case Op::kCommit: {
+          cloud::TxnRequest req;
+          req.token = "alice/txn" + std::to_string(i);
+          req.snapshot = snapshot;
+          req.writes.push_back(
+              {"counter", ToBytes("1"), cloud::kBaseVersionAny});
+          (void)channel.CommitTxn(req);
+          break;
+        }
+        case Op::kTelemetry: {
+          obs::TelemetryFrame frame;
+          frame.source = "alice";
+          frame.seq = i + 1;
+          frame.delta.counters["alice.ops"] = 1;
+          (void)channel.ReportTelemetry(obs::EncodeTelemetryFrame(frame));
+          break;
+        }
+      }
+    }
+    const ChannelStats& stats = channel.stats();
+    EXPECT_EQ(stats.attempts, golden.attempts);
+    EXPECT_EQ(stats.retries, golden.retries);
+    EXPECT_EQ(channel.virtual_now_us(), golden.virtual_now_us);
+    EXPECT_DOUBLE_EQ(channel.retry_tokens(), golden.retry_tokens);
+    EXPECT_EQ(stats.ops_ok, golden.ops_ok);
+  }
 }
 
 // ---- Exactly-once property: 0–3 deliveries in any order ----

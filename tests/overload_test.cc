@@ -710,7 +710,6 @@ TEST(OverloadChaosTest, FleetSurvivesOverloadWithFullPlaneOn) {
   options.gets_per_round = 2;
   options.docs_per_cell = 8;
   options.payload_bytes = 64;
-  options.resilient = true;
   options.seed = 42;
   // 25% faults on top of admission shedding: the end-of-run drain needs
   // real headroom (it is background class until escalation kicks in).
@@ -776,7 +775,6 @@ TEST(OverloadChaosTest, ShedTxnsStayExactlyOnceUnderAdmissionPressure) {
   options.cells = 8;
   options.threads = 8;
   options.rounds_per_cell = 6;
-  options.resilient = true;
   options.txn_workload = true;
   options.txn_shared_docs = 4;
   options.txn_keys = 2;

@@ -807,7 +807,6 @@ TEST_F(RpcSocketTest, FleetChaosSweepOverRealSocketsLosesNoAckedWrite) {
   options.gets_per_round = 2;
   options.payload_bytes = 64;
   options.send_prob = 0.0;
-  options.resilient = true;
   options.transport = &transport;
   options.seed = 99;
 

@@ -584,7 +584,6 @@ void RunTelemetryChaos(size_t cells, double rate, uint64_t seed) {
   options.gets_per_round = 2;
   options.docs_per_cell = 8;
   options.payload_bytes = 64;
-  options.resilient = true;
   options.seed = seed;
   options.transport = wire.transport();
   options.telemetry = true;
@@ -678,7 +677,6 @@ TEST(TelemetryChaosTest, CleanWireShipsEverythingOnce) {
   options.threads = 4;
   options.rounds_per_cell = 6;
   options.docs_per_cell = 8;
-  options.resilient = true;
   options.transport = wire.transport();
   options.telemetry = true;
   options.telemetry_every_rounds = 3;
@@ -698,8 +696,9 @@ TEST(TelemetryChaosTest, CleanWireShipsEverythingOnce) {
   EXPECT_EQ(cloud.telemetry_hub().Aggregate().counters, truth_counters);
 }
 
-TEST(TelemetryChaosTest, DirectPathShipsWithoutAChannel) {
-  // The non-resilient runner ships through the in-process RPC surface.
+TEST(TelemetryChaosTest, CleanInProcessRunShipsExactly) {
+  // No injector and no wire: every cell still ships through its channel,
+  // here over the in-process transport, and the aggregate is exact.
   CloudInfrastructure cloud;
   MetricRegistry ground_truth;
   FleetOptions options;
@@ -714,6 +713,8 @@ TEST(TelemetryChaosTest, DirectPathShipsWithoutAChannel) {
   auto report = runner.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->telemetry_unshipped, 0u);
+  EXPECT_EQ(report->retries, 0u);
+  EXPECT_EQ(cloud.telemetry_hub().stats().duplicates, 0u);
   auto truth_counters = ground_truth.Snapshot().counters;
   // Never-incremented counters ship no delta; drop them before the exact
   // map comparison (absent == 0 in the telemetry plane).
