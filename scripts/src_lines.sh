@@ -1,10 +1,18 @@
 #!/bin/sh
 # Prints the line total of the library sources (every .h and .cc under
-# src/), so each change's effect on the size of src/ shows in the CI log.
+# src/), then one line per src/tc/* directory, so each change's effect on
+# the size of src/ — and where it landed — shows in the CI log.
 # Reports only; it gates nothing.
 set -eu
 cd "$(dirname "$0")/.."
 
-total=$(find src -type f \( -name '*.h' -o -name '*.cc' \) -exec cat {} + |
-  wc -l | tr -d ' ')
-echo "src_lines: $total lines in src/ (.h + .cc)"
+# Lines of every .h and .cc file under $1.
+count() {
+  find "$1" -type f \( -name '*.h' -o -name '*.cc' \) -exec cat {} + |
+    wc -l | tr -d ' '
+}
+
+echo "src_lines: $(count src) lines in src/ (.h + .cc)"
+for dir in src/tc/*/; do
+  printf 'src_lines: %7d  %s\n' "$(count "$dir")" "${dir%/}"
+done

@@ -1,5 +1,6 @@
 #include "tc/common/codec.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "tc/common/macros.h"
@@ -129,6 +130,13 @@ Result<Bytes> BinaryReader::GetRaw(size_t n) {
   Bytes out(buf_.begin() + pos_, buf_.begin() + pos_ + n);
   pos_ += n;
   return out;
+}
+
+Status BinaryReader::CheckCount(uint64_t count, size_t min_bytes_per) const {
+  if (count > remaining() / std::max<size_t>(min_bytes_per, 1)) {
+    return Status::Corruption("element count exceeds payload bytes");
+  }
+  return Status::OK();
 }
 
 Result<bool> BinaryReader::GetBool() {

@@ -63,6 +63,11 @@ class BinaryReader {
   Result<bool> GetBool();
 
   size_t remaining() const { return buf_.size() - pos_; }
+  /// Fails with `kCorruption` when `count` elements of at least
+  /// `min_bytes_per` bytes each cannot fit in what is left — the check a
+  /// decoder makes before reserving for a decoded count, so a corrupt or
+  /// hostile count never drives an allocation.
+  Status CheckCount(uint64_t count, size_t min_bytes_per) const;
   bool AtEnd() const { return pos_ == buf_.size(); }
   size_t position() const { return pos_; }
 

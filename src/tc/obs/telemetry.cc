@@ -12,15 +12,6 @@ namespace {
 
 constexpr uint8_t kTelemetryFrameVersion = 1;
 
-Status CheckCount(const BinaryReader& r, uint64_t count,
-                  size_t min_bytes_per) {
-  if (min_bytes_per == 0) min_bytes_per = 1;
-  if (count > r.remaining() / min_bytes_per) {
-    return Status::Corruption("element count exceeds payload bytes");
-  }
-  return Status::OK();
-}
-
 Status CheckExhausted(const BinaryReader& r) {
   if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes after telemetry frame");
@@ -249,7 +240,7 @@ Result<TelemetryFrame> DecodeTelemetryFrame(const Bytes& payload) {
   }
 
   TC_ASSIGN_OR_RETURN(uint64_t n_counters, r.GetVarint());
-  TC_RETURN_IF_ERROR(CheckCount(r, n_counters, 2));
+  TC_RETURN_IF_ERROR(r.CheckCount(n_counters, 2));
   for (uint64_t i = 0; i < n_counters; ++i) {
     TC_ASSIGN_OR_RETURN(std::string name, r.GetString());
     TC_ASSIGN_OR_RETURN(uint64_t value, r.GetVarint());
@@ -257,7 +248,7 @@ Result<TelemetryFrame> DecodeTelemetryFrame(const Bytes& payload) {
   }
 
   TC_ASSIGN_OR_RETURN(uint64_t n_gauges, r.GetVarint());
-  TC_RETURN_IF_ERROR(CheckCount(r, n_gauges, 2));
+  TC_RETURN_IF_ERROR(r.CheckCount(n_gauges, 2));
   for (uint64_t i = 0; i < n_gauges; ++i) {
     TC_ASSIGN_OR_RETURN(std::string name, r.GetString());
     TC_ASSIGN_OR_RETURN(int64_t value, r.GetI64());
@@ -265,14 +256,14 @@ Result<TelemetryFrame> DecodeTelemetryFrame(const Bytes& payload) {
   }
 
   TC_ASSIGN_OR_RETURN(uint64_t n_hists, r.GetVarint());
-  TC_RETURN_IF_ERROR(CheckCount(r, n_hists, 4));
+  TC_RETURN_IF_ERROR(r.CheckCount(n_hists, 4));
   for (uint64_t i = 0; i < n_hists; ++i) {
     TC_ASSIGN_OR_RETURN(std::string name, r.GetString());
     HistogramDelta h;
     TC_ASSIGN_OR_RETURN(h.sum, r.GetVarint());
     TC_ASSIGN_OR_RETURN(h.max, r.GetVarint());
     TC_ASSIGN_OR_RETURN(uint64_t n_buckets, r.GetVarint());
-    TC_RETURN_IF_ERROR(CheckCount(r, n_buckets, 2));
+    TC_RETURN_IF_ERROR(r.CheckCount(n_buckets, 2));
     h.buckets.reserve(n_buckets);
     uint64_t prev_index = 0;
     for (uint64_t b = 0; b < n_buckets; ++b) {

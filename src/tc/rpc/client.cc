@@ -7,9 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 
 #include "tc/net/backoff.h"
 #include "tc/obs/metrics.h"
@@ -19,19 +17,7 @@ namespace tc::rpc {
 
 namespace {
 
-bool WriteFull(int fd, const uint8_t* buf, size_t n) {
-  size_t sent = 0;
-  while (sent < n) {
-    ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (r > 0) {
-      sent += static_cast<size_t>(r);
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
+obs::MetricRegistry& Registry() { return obs::MetricRegistry::Global(); }
 
 /// RAII decrement for the pool-wide in-flight cap.
 class InFlightSlot {
@@ -44,6 +30,15 @@ class InFlightSlot {
 };
 
 }  // namespace
+
+RpcClientPool::Metrics::Metrics()
+    : calls(Registry().GetCounter("rpc.client.calls")),
+      transport_errors(Registry().GetCounter("rpc.client.transport_errors")),
+      timeouts(Registry().GetCounter("rpc.client.timeouts")),
+      exhausted(Registry().GetCounter("rpc.client.exhausted")),
+      reconnects(Registry().GetCounter("rpc.client.reconnects")),
+      pushbacks(Registry().GetCounter("rpc.client.pushbacks")),
+      call_us(Registry().GetHistogram("rpc.client.call_us")) {}
 
 RpcClientPool::RpcClientPool(const Options& options) : options_(options) {
   size_t n = options_.connections == 0 ? 1 : options_.connections;
@@ -102,8 +97,6 @@ size_t RpcClientPool::connected_count() const {
 }
 
 void RpcClientPool::MaintenanceLoop() {
-  auto& reconnects = obs::MetricRegistry::Global().GetCounter(
-      "rpc.client.reconnects");
   std::unique_lock<std::mutex> lock(maint_mu_);
   while (!closed_.load(std::memory_order_acquire)) {
     maint_cv_.wait_for(
@@ -121,7 +114,7 @@ void RpcClientPool::MaintenanceLoop() {
       // Reconnect + health-check off any caller's critical path. A failed
       // ping tears the connection back down; next interval retries.
       if (CallOnConn(*conn_ptr, RpcOp::kPing, Bytes()).ok()) {
-        reconnects.Increment();
+        metrics_.reconnects.Increment();
       }
     }
     lock.lock();
@@ -193,65 +186,34 @@ void RpcClientPool::TearDown(Conn& conn, uint64_t generation) {
 }
 
 void RpcClientPool::ReaderLoop(Conn* conn, int fd, uint64_t generation) {
-  // Buffered stream parser, mirroring the server's reader: one recv may
-  // carry many pipelined responses, so syscalls and reader wake-ups
-  // amortize across a burst.
-  std::vector<uint8_t> buf;
-  size_t pos = 0;
-  bool stop = false;
-  while (!stop) {
-    while (buf.size() - pos >= kFrameHeaderBytes) {
-      auto header = DecodeFrameHeader(buf.data() + pos, kFrameHeaderBytes);
-      if (!header.ok() || !header->response()) {  // Unframeable stream.
-        stop = true;
-        break;
-      }
-      const size_t need = kFrameHeaderBytes + header->payload_size;
-      if (buf.size() - pos < need) break;  // Frame still arriving.
-      Bytes payload(buf.begin() + pos + kFrameHeaderBytes,
-                    buf.begin() + pos + need);
-      pos += need;
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->generation != generation) return;  // Epoch ended under us.
-      auto it = conn->pending.find(header->request_id);
-      if (it == conn->pending.end()) continue;  // Deadline-abandoned waiter.
-      it->second->response = std::move(payload);
-      it->second->status = Status::OK();
-      it->second->flags = header->flags;
-      it->second->budget_us = header->budget_us;
-      it->second->done = true;
-      it->second->cv.notify_all();
-      conn->pending.erase(it);
-    }
-    if (stop) break;
-    if (pos > 0) {
-      buf.erase(buf.begin(), buf.begin() + pos);
-      pos = 0;
-    }
-    constexpr size_t kReadChunk = 64 * 1024;
-    const size_t old_size = buf.size();
-    buf.resize(old_size + kReadChunk);
-    ssize_t r = ::recv(fd, buf.data() + old_size, kReadChunk, 0);
-    if (r <= 0) {
-      buf.resize(old_size);
-      if (r < 0 && errno == EINTR) continue;
-      break;
-    }
-    buf.resize(old_size + static_cast<size_t>(r));
+  FrameReader reader(fd, /*responses=*/true);
+  FrameHeader header;
+  Bytes payload;
+  // Any framing failure (EOF, reset, unframeable stream) ends the epoch.
+  while (reader.Next(&header, &payload).ok()) {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (conn->generation != generation) return;  // Epoch ended under us.
+    auto it = conn->pending.find(header.request_id);
+    if (it == conn->pending.end()) continue;  // Deadline-abandoned waiter.
+    it->second->response = std::move(payload);
+    it->second->status = Status::OK();
+    it->second->header = header;
+    it->second->done = true;
+    it->second->cv.notify_all();
+    conn->pending.erase(it);
   }
   TearDown(*conn, generation);
 }
 
 Result<Bytes> RpcClientPool::Call(RpcOp op, const Bytes& payload) {
-  auto& registry = obs::MetricRegistry::Global();
-  registry.GetCounter("rpc.client.calls").Increment();
+  metrics_.calls.Increment();
   if (closed_.load(std::memory_order_acquire)) {
     return Status::Unavailable("client pool closed");
   }
   if (in_flight_.fetch_add(1, std::memory_order_relaxed) >=
       static_cast<int64_t>(options_.max_in_flight)) {
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    registry.GetCounter("rpc.client.exhausted").Increment();
+    metrics_.exhausted.Increment();
     return Status::Unavailable("rpc client pool exhausted");
   }
   InFlightSlot slot(in_flight_);
@@ -263,10 +225,9 @@ Result<Bytes> RpcClientPool::Call(RpcOp op, const Bytes& payload) {
 
 Result<Bytes> RpcClientPool::CallOnConn(Conn& conn, RpcOp op,
                                         const Bytes& payload) {
-  auto& registry = obs::MetricRegistry::Global();
   obs::Stopwatch call_timer;
   if (!EnsureConnected(conn)) {
-    registry.GetCounter("rpc.client.transport_errors").Increment();
+    metrics_.transport_errors.Increment();
     return Status::Unavailable("rpc server unreachable");
   }
 
@@ -286,7 +247,6 @@ Result<Bytes> RpcClientPool::CallOnConn(Conn& conn, RpcOp op,
   h.op = op;
   h.request_id = id;
   h.trace = obs::CurrentContext();
-  h.payload_size = static_cast<uint32_t>(payload.size());
   // Deadline propagation rides next to trace context: the calling thread's
   // remaining budget and criticality go into the frame header so the
   // server can queue-prioritize this request and shed it once dead.
@@ -299,10 +259,7 @@ Result<Bytes> RpcClientPool::CallOnConn(Conn& conn, RpcOp op,
           std::min<uint64_t>(remaining, UINT32_MAX));
     }
   }
-  // One coalesced send per message: with TCP_NODELAY a split header/payload
-  // write is two packets (and two syscalls) on the wire.
-  Bytes frame = EncodeFrameHeader(h);
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  const Bytes frame = EncodeFrame(h, payload);
 
   bool sent = false;
   {
@@ -313,14 +270,14 @@ Result<Bytes> RpcClientPool::CallOnConn(Conn& conn, RpcOp op,
       if (conn.connected && conn.generation == generation) fd = conn.fd;
     }
     if (fd >= 0) {
-      sent = WriteFull(fd, frame.data(), frame.size());
+      sent = SendAll(fd, frame);
     }
   }
   if (!sent) {
     TearDown(conn, generation);
     std::lock_guard<std::mutex> lock(conn.mu);
     conn.pending.erase(id);
-    registry.GetCounter("rpc.client.transport_errors").Increment();
+    metrics_.transport_errors.Increment();
     return Status::Unavailable("rpc send failed");
   }
 
@@ -339,20 +296,20 @@ Result<Bytes> RpcClientPool::CallOnConn(Conn& conn, RpcOp op,
     if (pending->done) break;
     if (!budget.Charge(waited.ElapsedUs() + 1)) {
       conn.pending.erase(id);
-      registry.GetCounter("rpc.client.timeouts").Increment();
+      metrics_.timeouts.Increment();
       return Status::DeadlineExceeded("rpc response deadline exceeded");
     }
   }
-  registry.GetHistogram("rpc.client.call_us").Record(call_timer.ElapsedUs());
+  metrics_.call_us.Record(call_timer.ElapsedUs());
   if (!pending->status.ok()) {
-    registry.GetCounter("rpc.client.transport_errors").Increment();
+    metrics_.transport_errors.Increment();
     return pending->status;
   }
-  if ((pending->flags & kFlagPushback) != 0) {
+  if (pending->header.pushback()) {
     // Server shed this request: deposit its retry-after hint on the
     // calling thread for the retry loop above to honor.
-    registry.GetCounter("rpc.client.pushbacks").Increment();
-    SetRetryAfterHint(pending->budget_us);
+    metrics_.pushbacks.Increment();
+    SetRetryAfterHint(pending->header.budget_us);
   }
   return std::move(pending->response);
 }

@@ -13,6 +13,7 @@
 
 #include "tc/common/bytes.h"
 #include "tc/common/result.h"
+#include "tc/obs/metrics.h"
 #include "tc/rpc/wire.h"
 
 namespace tc::rpc {
@@ -113,8 +114,7 @@ class RpcClientPool {
     Bytes response;
     Status status = Status::OK();
     bool done = false;
-    uint8_t flags = 0;       ///< Response header flags (pushback bit).
-    uint32_t budget_us = 0;  ///< Response retry-after hint (with pushback).
+    FrameHeader header;  ///< The response's (pushback flag + retry hint).
     /// Per-call wakeup (paired with Conn::mu): the reader signals exactly
     /// the waiter whose response arrived, instead of waking every caller
     /// pipelined on the connection.
@@ -137,6 +137,18 @@ class RpcClientPool {
     std::thread reader;
   };
 
+  /// Registry handles, resolved once (names in the class comment).
+  struct Metrics {
+    Metrics();
+    obs::Counter& calls;
+    obs::Counter& transport_errors;
+    obs::Counter& timeouts;
+    obs::Counter& exhausted;
+    obs::Counter& reconnects;
+    obs::Counter& pushbacks;
+    obs::Histogram& call_us;
+  };
+
   /// Ensures `conn` is connected (lazily reconnecting); returns false when
   /// the server is unreachable or the pool is closed.
   bool EnsureConnected(Conn& conn);
@@ -151,6 +163,7 @@ class RpcClientPool {
   void MaintenanceLoop();
 
   Options options_;
+  Metrics metrics_;
   std::vector<std::unique_ptr<Conn>> conns_;
   std::atomic<uint64_t> next_request_id_{1};
   std::atomic<size_t> next_conn_{0};

@@ -16,50 +16,10 @@ namespace tc::rpc {
 
 namespace {
 
-bool WriteFull(int fd, const uint8_t* buf, size_t n) {
-  size_t sent = 0;
-  while (sent < n) {
-    // MSG_NOSIGNAL: a peer that vanished must surface as EPIPE, not kill
-    // the process with SIGPIPE.
-    ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (r > 0) {
-      sent += static_cast<size_t>(r);
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
+obs::MetricRegistry& Registry() { return obs::MetricRegistry::Global(); }
 
-}  // namespace
-
-RpcServer::RpcServer(cloud::CloudInfrastructure* cloud,
-                     const Options& options)
-    : cloud_(cloud), options_(options) {}
-
-RpcServer::~RpcServer() { Shutdown(); }
-
-bool RpcServer::LoopbackAvailable() {
-  static const bool available = [] {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    bool ok = ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
-              ::listen(fd, 1) == 0;
-    ::close(fd);
-    return ok;
-  }();
-  return available;
-}
-
-Status RpcServer::Start() {
-  if (running_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("server already started");
-  }
+/// A listening TCP socket on 127.0.0.1:`port` (0 = ephemeral).
+Result<int> ListenLoopback(uint16_t port, int backlog) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::Unavailable("socket() failed: no loopback support");
@@ -69,17 +29,68 @@ Status RpcServer::Start() {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options_.port);
+  addr.sin_port = htons(port);
+  const char* failed = nullptr;
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return Status::Unavailable(std::string("bind() failed: ") +
-                               std::strerror(errno));
+    failed = "bind() failed: ";
+  } else if (::listen(fd, backlog) != 0) {
+    failed = "listen() failed: ";
   }
-  if (::listen(fd, 128) != 0) {
+  if (failed != nullptr) {
+    const Status status =
+        Status::Unavailable(std::string(failed) + std::strerror(errno));
     ::close(fd);
-    return Status::Unavailable(std::string("listen() failed: ") +
-                               std::strerror(errno));
+    return status;
   }
+  return fd;
+}
+
+}  // namespace
+
+RpcServer::Metrics::Metrics()
+    : accepted(Registry().GetCounter("rpc.server.accepted")),
+      connections(Registry().GetGauge("rpc.server.connections")),
+      requests(Registry().GetCounter("rpc.server.requests")),
+      malformed(Registry().GetCounter("rpc.server.malformed")),
+      bytes_in(Registry().GetCounter("rpc.server.bytes_in")),
+      bytes_out(Registry().GetCounter("rpc.server.bytes_out")),
+      in_flight(Registry().GetGauge("rpc.server.in_flight")),
+      dispatch_us(Registry().GetHistogram("rpc.server.dispatch_us")),
+      admission_rejected(Registry().GetCounter("rpc.server.admission_rejected")),
+      admission_limit(Registry().GetGauge("rpc.server.admission_limit")),
+      shed_expired(Registry().GetCounter("rpc.server.shed_expired")),
+      shed_codel(Registry().GetCounter("rpc.server.shed_codel")) {
+  // Per-op latency alongside the overall dispatch histogram, so the wire
+  // tax of each operation class is continuously visible (not bench-only).
+  for (size_t op = 0; op < kRpcOpCount; ++op) {
+    op_us[op] = &Registry().GetHistogram(
+        std::string("rpc.server.") + RpcOpName(static_cast<RpcOp>(op)) +
+        "_us");
+  }
+}
+
+RpcServer::RpcServer(cloud::CloudInfrastructure* cloud,
+                     const Options& options)
+    : provider_(cloud), options_(options) {}
+
+RpcServer::~RpcServer() { Shutdown(); }
+
+bool RpcServer::LoopbackAvailable() {
+  static const bool available = [] {
+    auto fd = ListenLoopback(0, 1);
+    if (fd.ok()) ::close(fd.value());
+    return fd.ok();
+  }();
+  return available;
+}
+
+Status RpcServer::Start() {
+  if (running_.load(std::memory_order_acquire)) {
+    return Status::FailedPrecondition("server already started");
+  }
+  auto listened = ListenLoopback(options_.port, 128);
+  if (!listened.ok()) return listened.status();
+  const int fd = listened.value();
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
@@ -88,7 +99,6 @@ Status RpcServer::Start() {
   }
   port_ = ntohs(bound.sin_port);
   listen_fd_.store(fd, std::memory_order_release);
-  shutting_down_.store(false, std::memory_order_release);
   if (options_.admission && admission_ == nullptr) {
     admission_ = std::make_unique<AdmissionController>(
         options_.admission_config);
@@ -103,7 +113,6 @@ Status RpcServer::Start() {
 
 void RpcServer::Shutdown() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  shutting_down_.store(true, std::memory_order_release);
 
   // 1. Stop accepting: closing the listener wakes the accept loop. The
   //    exchange retires the fd so the accept thread (which re-reads it
@@ -155,10 +164,6 @@ RpcServer::Stats RpcServer::stats() const {
 }
 
 void RpcServer::AcceptLoop() {
-  auto& accepted_metric =
-      obs::MetricRegistry::Global().GetCounter("rpc.server.accepted");
-  auto& connections =
-      obs::MetricRegistry::Global().GetGauge("rpc.server.connections");
   while (running_.load(std::memory_order_acquire)) {
     int lfd = listen_fd_.load(std::memory_order_acquire);
     if (lfd < 0) break;  // Shutdown retired the listener.
@@ -174,8 +179,8 @@ void RpcServer::AcceptLoop() {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    accepted_metric.Increment();
-    connections.Add(1);
+    metrics_.accepted.Increment();
+    metrics_.connections.Add(1);
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     {
@@ -187,131 +192,82 @@ void RpcServer::AcceptLoop() {
 }
 
 void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
-  auto& malformed_metric =
-      obs::MetricRegistry::Global().GetCounter("rpc.server.malformed");
-  auto& bytes_in =
-      obs::MetricRegistry::Global().GetCounter("rpc.server.bytes_in");
-  auto& admission_rejected_metric = obs::MetricRegistry::Global().GetCounter(
-      "rpc.server.admission_rejected");
-  auto& admission_limit_gauge =
-      obs::MetricRegistry::Global().GetGauge("rpc.server.admission_limit");
-  // Buffered stream parser: one recv can deliver many pipelined frames, so
-  // the syscall (and reader wake-up) cost amortizes across every request a
-  // burst carries — the difference between pricing the wire per frame and
-  // per batch.
-  std::vector<uint8_t> buf;
-  size_t pos = 0;
-  bool stop = false;
-  while (!stop && conn->open.load(std::memory_order_acquire)) {
-    // Dispatch every complete frame currently buffered.
-    while (buf.size() - pos >= kFrameHeaderBytes) {
-      auto header = DecodeFrameHeader(buf.data() + pos, kFrameHeaderBytes);
-      if (!header.ok()) {
+  FrameReader reader(conn->fd, /*responses=*/false, options_.max_frame_bytes);
+  FrameHeader h;
+  Bytes payload;
+  while (conn->open.load(std::memory_order_acquire)) {
+    Status framed = reader.Next(&h, &payload);
+    if (!framed.ok()) {
+      if (framed.code() != StatusCode::kUnavailable) {
         // Malformed or version-mismatched frame: the stream can no longer
         // be framed safely, so the only clean recovery is closing the
         // connection (the client reconnects and retries under its token).
         malformed_.fetch_add(1, std::memory_order_relaxed);
-        malformed_metric.Increment();
-        if (header.status().code() == StatusCode::kUnimplemented) {
+        metrics_.malformed.Increment();
+        if (framed.code() == StatusCode::kUnimplemented) {
           version_mismatch_.fetch_add(1, std::memory_order_relaxed);
         }
-        stop = true;
-        break;
       }
-      if (header->response() ||
-          header->payload_size > options_.max_frame_bytes) {
-        malformed_.fetch_add(1, std::memory_order_relaxed);
-        malformed_metric.Increment();
-        stop = true;
-        break;
-      }
-      const size_t need = kFrameHeaderBytes + header->payload_size;
-      if (buf.size() - pos < need) break;  // Frame still arriving.
-      Bytes payload(buf.begin() + pos + kFrameHeaderBytes,
-                    buf.begin() + pos + need);
-      pos += need;
-      bytes_in.Increment(need);
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      FrameHeader h = *header;
-      // Effective criticality: wire bits, except ping and telemetry
-      // scrapes are always critical — client pools must keep their
-      // health probes flowing and operators must keep seeing a saturated
-      // server, or overload becomes invisible exactly when it matters.
-      Criticality crit = h.criticality();
-      if (h.op == RpcOp::kPing || h.op == RpcOp::kScrapeTelemetry) {
-        crit = Criticality::kCritical;
-      }
-      const uint64_t arrival_us = OverloadNowUs();
-      uint32_t retry_after_us = 0;
-      if (admission_ != nullptr &&
-          !admission_->TryAcquire(crit, &retry_after_us)) {
-        // Rejected at the socket edge: answer inline from the reader with
-        // explicit pushback — no pool slot, no provider work, and the
-        // client's retry loop gets a load-scaled retry-after hint instead
-        // of a silent drop it would hammer against.
-        admission_rejected_.fetch_add(1, std::memory_order_relaxed);
-        admission_rejected_metric.Increment();
-        admission_limit_gauge.Set(static_cast<int64_t>(admission_->limit()));
-        FrameHeader rh = h;
-        rh.flags |= kFlagResponse | kFlagPushback;
-        rh.budget_us = retry_after_us;
-        Bytes body = EncodeStatusOnlyResponse(
-            h.op,
-            Status::ResourceExhausted("server admission limit reached"));
-        rh.payload_size = static_cast<uint32_t>(body.size());
-        Bytes frame = EncodeFrameHeader(rh);
-        frame.insert(frame.end(), body.begin(), body.end());
-        WriteFrames(*conn, frame);
-        continue;
-      }
-      {
-        std::lock_guard<std::mutex> lock(conn->write_mu);
-        ++conn->in_flight;
-      }
-      // Hand the frame to the pool with its scheduling class: the wire
-      // budget becomes an absolute deadline re-checked at dequeue, and a
-      // shed request is still *answered* (on_shed) so the client learns
-      // immediately instead of timing out. Submit blocks on a full queue,
-      // which is exactly the backpressure we want per connection; false
-      // means the server is shutting down and this request is dropped
-      // *unread by the dispatcher* — the client sees the connection
-      // close, not a lost ack.
-      fleet::WorkerPool::TaskClass cls;
-      cls.criticality = crit;
-      cls.deadline_us = h.budget_us != 0 ? arrival_us + h.budget_us : 0;
-      cls.on_shed = [this, conn, h, arrival_us] {
-        RespondShed(conn, h, arrival_us);
-      };
-      bool submitted = pool_->Submit(
-          [this, conn, h, crit, arrival_us,
-           payload = std::move(payload)]() mutable {
-            Dispatch(conn, h, crit, arrival_us, std::move(payload));
-          },
-          std::move(cls));
-      if (!submitted) {
-        if (admission_ != nullptr) admission_->Release(0);
-        std::lock_guard<std::mutex> lock(conn->write_mu);
-        --conn->in_flight;
-        conn->drained.notify_all();
-        stop = true;
-        break;
-      }
-    }
-    if (stop) break;
-    if (pos > 0) {
-      buf.erase(buf.begin(), buf.begin() + pos);
-      pos = 0;
-    }
-    constexpr size_t kReadChunk = 64 * 1024;
-    const size_t old_size = buf.size();
-    buf.resize(old_size + kReadChunk);
-    ssize_t r = ::recv(conn->fd, buf.data() + old_size, kReadChunk, 0);
-    if (r <= 0) {
-      buf.resize(old_size);
-      if (r < 0 && errno == EINTR) continue;
       break;  // EOF, reset, or fatal error: peer (or shutdown) ended it.
     }
-    buf.resize(old_size + static_cast<size_t>(r));
+    metrics_.bytes_in.Increment(kFrameHeaderBytes + payload.size());
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    // Effective criticality: wire bits, except ping and telemetry
+    // scrapes are always critical — client pools must keep their
+    // health probes flowing and operators must keep seeing a saturated
+    // server, or overload becomes invisible exactly when it matters.
+    Criticality crit = h.criticality();
+    if (h.op == RpcOp::kPing || h.op == RpcOp::kScrapeTelemetry) {
+      crit = Criticality::kCritical;
+    }
+    const uint64_t arrival_us = OverloadNowUs();
+    uint32_t retry_after_us = 0;
+    if (admission_ != nullptr &&
+        !admission_->TryAcquire(crit, &retry_after_us)) {
+      // Rejected at the socket edge: answer inline from the reader with
+      // explicit pushback — no pool slot, no provider work, and the
+      // client's retry loop gets a load-scaled retry-after hint instead
+      // of a silent drop it would hammer against.
+      admission_rejected_.fetch_add(1, std::memory_order_relaxed);
+      metrics_.admission_rejected.Increment();
+      metrics_.admission_limit.Set(static_cast<int64_t>(admission_->limit()));
+      FrameHeader rh = h;
+      rh.flags |= kFlagResponse | kFlagPushback;
+      rh.budget_us = retry_after_us;
+      WriteFrames(*conn, EncodeFrame(rh, EncodeStatusOnlyReply(
+                                             h.op, Status::ResourceExhausted(
+                                                       "server admission "
+                                                       "limit reached"))));
+      continue;
+    }
+    {
+      std::lock_guard<std::mutex> lock(conn->write_mu);
+      ++conn->in_flight;
+    }
+    // Hand the frame to the pool with its scheduling class: the wire
+    // budget becomes an absolute deadline re-checked at dequeue, and a
+    // shed request is still *answered* (on_shed) so the client learns
+    // immediately instead of timing out. Submit blocks on a full queue,
+    // which is exactly the backpressure we want per connection; false
+    // means the server is shutting down and this request is dropped
+    // *unread by the dispatcher* — the client sees the connection
+    // close, not a lost ack.
+    fleet::WorkerPool::TaskClass cls;
+    cls.criticality = crit;
+    cls.deadline_us = h.budget_us != 0 ? arrival_us + h.budget_us : 0;
+    cls.on_shed = [this, conn, h, arrival_us] {
+      RespondShed(conn, h, arrival_us);
+    };
+    bool submitted = pool_->Submit(
+        [this, conn, h, crit, arrival_us,
+         payload = std::move(payload)]() mutable {
+          Dispatch(conn, h, crit, arrival_us, std::move(payload));
+        },
+        std::move(cls));
+    if (!submitted) {
+      Finish(*conn, 0);
+      break;
+    }
   }
   // The reader is the connection's last reference to the fd number: wait
   // for every dispatched request to finish writing (so a graceful server
@@ -326,24 +282,15 @@ void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
     conn->fd = -1;
   }
   lock.unlock();
-  obs::MetricRegistry::Global().GetGauge("rpc.server.connections").Add(-1);
+  metrics_.connections.Add(-1);
 }
 
 void RpcServer::Dispatch(std::shared_ptr<Connection> conn, FrameHeader header,
                          Criticality criticality, uint64_t arrival_us,
                          Bytes payload) {
-  auto& registry = obs::MetricRegistry::Global();
-  auto& in_flight = registry.GetGauge("rpc.server.in_flight");
-  auto& dispatch_us = registry.GetHistogram("rpc.server.dispatch_us");
-  // Per-op latency alongside the overall dispatch histogram, so the wire
-  // tax of each operation class is continuously visible (not bench-only).
-  auto& op_us = registry.GetHistogram(std::string("rpc.server.") +
-                                      RpcOpName(header.op) + "_us");
-  auto& requests_metric = registry.GetCounter("rpc.server.requests");
-  in_flight.Add(1);
+  metrics_.in_flight.Add(1);
   obs::Stopwatch timer;
-  Status decode_ok = Status::OK();
-  Bytes response;
+  Result<Bytes> response = Bytes();
   {
     // Restore the caller's trace context from the frame header so
     // server-side spans (cloud.*, storage.*) parent under the cell
@@ -362,54 +309,42 @@ void RpcServer::Dispatch(std::shared_ptr<Connection> conn, FrameHeader header,
       octx.budget_us = deadline > now ? deadline - now : 1;
     }
     ScopedOverloadContext overload_scope(octx);
-    response = Execute(header, std::move(payload), &decode_ok);
+    response = Serve(header.op, provider_, payload);
   }
   // A provider-side admission rejection left its retry-after hint on this
   // thread; forward it in the response header as explicit pushback.
   const uint32_t retry_after_us = TakeRetryAfterHint();
-  if (!decode_ok.ok()) {
+  if (!response.ok()) {
     // Undecodable payload behind a well-formed header: the stream itself
     // is still framed, but this connection's peer is speaking garbage —
     // treat like a malformed frame and drop the connection.
     malformed_.fetch_add(1, std::memory_order_relaxed);
-    registry.GetCounter("rpc.server.malformed").Increment();
+    metrics_.malformed.Increment();
     ShutdownConnection(*conn, SHUT_RDWR);
   } else {
     FrameHeader h = header;
     h.flags |= kFlagResponse;
     h.budget_us = retry_after_us;
     if (retry_after_us != 0) h.flags |= kFlagPushback;
-    h.payload_size = static_cast<uint32_t>(response.size());
-    Bytes frame = EncodeFrameHeader(h);
-    frame.insert(frame.end(), response.begin(), response.end());
-    WriteFrames(*conn, frame);
-    requests_metric.Increment();
+    WriteFrames(*conn, EncodeFrame(h, response.value()));
+    metrics_.requests.Increment();
   }
   uint64_t elapsed = timer.ElapsedUs();
-  dispatch_us.Record(elapsed);
-  op_us.Record(elapsed);
-  in_flight.Add(-1);
-  if (admission_ != nullptr) {
-    // The limiter's latency sample spans acquire (reader framing) to done,
-    // so queue wait is inside it — queueing inflates the EWMA, the
-    // gradient drops, the limit tightens: that feedback IS the controller.
-    // Critical probes release without sampling (their near-zero latencies
-    // would drag the estimates down).
-    admission_->Release(criticality == Criticality::kCritical
-                            ? 0
-                            : std::max<uint64_t>(
-                                  1, OverloadNowUs() - arrival_us));
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    --conn->in_flight;
-    conn->drained.notify_all();
-  }
+  metrics_.dispatch_us.Record(elapsed);
+  metrics_.op_us[static_cast<size_t>(header.op)]->Record(elapsed);
+  metrics_.in_flight.Add(-1);
+  // The limiter's latency sample spans acquire (reader framing) to done,
+  // so queue wait is inside it — queueing inflates the EWMA, the gradient
+  // drops, the limit tightens: that feedback IS the controller. Critical
+  // probes release without sampling (their near-zero latencies would drag
+  // the estimates down).
+  Finish(*conn, criticality == Criticality::kCritical
+                    ? 0
+                    : std::max<uint64_t>(1, OverloadNowUs() - arrival_us));
 }
 
 void RpcServer::RespondShed(const std::shared_ptr<Connection>& conn,
                             FrameHeader header, uint64_t arrival_us) {
-  auto& registry = obs::MetricRegistry::Global();
   // Two ways the pool sheds: the request's own deadline ran out in the
   // queue (kDeadlineExceeded — retrying is pointless, the caller's budget
   // is gone), or CoDel aged out a background request (kResourceExhausted
@@ -422,11 +357,11 @@ void RpcServer::RespondShed(const std::shared_ptr<Connection>& conn,
   rh.budget_us = 0;
   if (expired) {
     shed_expired_.fetch_add(1, std::memory_order_relaxed);
-    registry.GetCounter("rpc.server.shed_expired").Increment();
+    metrics_.shed_expired.Increment();
     status = Status::DeadlineExceeded("deadline expired in server queue");
   } else {
     shed_codel_.fetch_add(1, std::memory_order_relaxed);
-    registry.GetCounter("rpc.server.shed_codel").Increment();
+    metrics_.shed_codel.Increment();
     status = Status::ResourceExhausted("server queue overloaded (shed)");
     rh.flags |= kFlagPushback;
     rh.budget_us = options_.admission_config.min_retry_after_us;
@@ -437,133 +372,30 @@ void RpcServer::RespondShed(const std::shared_ptr<Connection>& conn,
           std::max<uint64_t>(rh.budget_us, ewma)));
     }
   }
-  Bytes body = EncodeStatusOnlyResponse(header.op, status);
-  rh.payload_size = static_cast<uint32_t>(body.size());
-  Bytes frame = EncodeFrameHeader(rh);
-  frame.insert(frame.end(), body.begin(), body.end());
-  WriteFrames(*conn, frame);
+  WriteFrames(*conn, EncodeFrame(rh, EncodeStatusOnlyReply(header.op, status)));
   // The slot was acquired at the reader edge; a shed request contributes
   // no latency sample (its sojourn measures the queue, not the service).
-  if (admission_ != nullptr) admission_->Release(0);
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    --conn->in_flight;
-    conn->drained.notify_all();
-  }
+  Finish(*conn, 0);
 }
 
-Bytes RpcServer::Execute(const FrameHeader& header, Bytes payload,
-                         Status* decode_ok_out) {
-  Bytes response;
-  Status decode_ok = Status::OK();
-  switch (header.op) {
-    case RpcOp::kPing: {
-      response = payload;  // Echo.
-      break;
-    }
-    case RpcOp::kPutBlobBatch: {
-      auto req = DecodePutBatchRequest(payload);
-      if (!req.ok()) {
-        decode_ok = req.status();
-        break;
-      }
-      response =
-          EncodePutBatchResponse(cloud_->PutBlobBatchRpc(req->items, req->tokens));
-      break;
-    }
-    case RpcOp::kGetBlob: {
-      auto id = DecodeGetBlobRequest(payload);
-      if (!id.ok()) {
-        decode_ok = id.status();
-        break;
-      }
-      GetBlobResponse out;
-      uint32_t delay = 0;
-      auto blob = cloud_->GetBlobRpc(id.value(), &delay);
-      out.status = blob.status();
-      if (blob.ok()) out.data = std::move(blob).value();
-      out.delay_us = delay;
-      response = EncodeGetBlobResponse(out);
-      break;
-    }
-    case RpcOp::kGetSnapshot: {
-      GetSnapshotResponse out;
-      uint32_t delay = 0;
-      auto snap = cloud_->GetSnapshotRpc(&delay);
-      out.status = snap.status();
-      if (snap.ok()) out.snapshot = std::move(snap).value();
-      out.delay_us = delay;
-      response = EncodeGetSnapshotResponse(out);
-      break;
-    }
-    case RpcOp::kGetAtSnapshot: {
-      auto req = DecodeGetAtSnapshotRequest(payload);
-      if (!req.ok()) {
-        decode_ok = req.status();
-        break;
-      }
-      GetAtSnapshotResponse out;
-      uint32_t delay = 0;
-      auto read = cloud_->GetBlobAtSnapshotRpc(req->id, req->snapshot, &delay);
-      out.status = read.status();
-      if (read.ok()) out.read = std::move(read).value();
-      out.delay_us = delay;
-      response = EncodeGetAtSnapshotResponse(out);
-      break;
-    }
-    case RpcOp::kCommitTxn: {
-      auto req = DecodeTxnRequest(payload);
-      if (!req.ok()) {
-        decode_ok = req.status();
-        break;
-      }
-      response = EncodeTxnOutcome(cloud_->CommitTxnRpc(req.value()));
-      break;
-    }
-    case RpcOp::kReportTelemetry: {
-      // The payload is an obs telemetry frame, opaque to the rpc layer:
-      // the hub decodes and validates it, and a bad frame comes back as a
-      // non-OK outcome status in the response — not a connection drop (the
-      // wire frame itself was well-formed).
-      ReportTelemetryResponse out;
-      uint32_t delay = 0;
-      auto outcome = cloud_->ReportTelemetryRpc(payload, &delay);
-      out.status = outcome.status;
-      out.applied = outcome.applied;
-      out.duplicate = outcome.duplicate;
-      out.last_seq = outcome.last_seq;
-      out.delay_us = delay;
-      response = EncodeReportTelemetryResponse(out);
-      break;
-    }
-    case RpcOp::kScrapeTelemetry: {
-      ScrapeTelemetryResponse out;
-      uint32_t delay = 0;
-      auto json = cloud_->ScrapeTelemetryRpc(&delay);
-      out.status = json.status();
-      if (json.ok()) out.json = std::move(json).value();
-      out.delay_us = delay;
-      response = EncodeScrapeTelemetryResponse(out);
-      break;
-    }
-  }
-  *decode_ok_out = decode_ok;
-  return response;
+void RpcServer::Finish(Connection& conn, uint64_t latency_us) {
+  if (admission_ != nullptr) admission_->Release(latency_us);
+  std::lock_guard<std::mutex> lock(conn.write_mu);
+  --conn.in_flight;
+  conn.drained.notify_all();
 }
 
 void RpcServer::WriteFrames(Connection& conn, const Bytes& frames) {
   // Every response frame of a burst goes out in ONE send: with TCP_NODELAY
   // a per-response (or split header/payload) write would put each response
   // on the wire as its own packet.
-  auto& bytes_out =
-      obs::MetricRegistry::Global().GetCounter("rpc.server.bytes_out");
   std::lock_guard<std::mutex> lock(conn.write_mu);
   if (!conn.open.load(std::memory_order_acquire) || conn.fd < 0) return;
-  if (!WriteFull(conn.fd, frames.data(), frames.size())) {
+  if (!SendAll(conn.fd, frames)) {
     // Peer gone mid-write; reader will notice EOF and wind down.
     return;
   }
-  bytes_out.Increment(frames.size());
+  metrics_.bytes_out.Increment(frames.size());
 }
 
 void RpcServer::ShutdownConnection(Connection& conn, int how) {

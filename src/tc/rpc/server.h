@@ -1,6 +1,7 @@
 #ifndef TC_RPC_SERVER_H_
 #define TC_RPC_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -12,6 +13,8 @@
 #include "tc/cloud/infrastructure.h"
 #include "tc/common/status.h"
 #include "tc/fleet/worker_pool.h"
+#include "tc/net/transport.h"
+#include "tc/obs/metrics.h"
 #include "tc/rpc/wire.h"
 
 namespace tc::rpc {
@@ -65,6 +68,7 @@ namespace tc::rpc {
 ///   rpc.server.bytes_in/out    counter  payload+header bytes
 ///   rpc.server.in_flight       gauge    requests inside the pool
 ///   rpc.server.dispatch_us     histogram  read-to-response-written
+///   rpc.server.<op>_us         histogram  the same, per RpcOpName
 ///   rpc.server.admission_rejected counter  requests refused at the edge
 ///   rpc.server.admission_limit gauge    current concurrency limit
 ///   rpc.server.shed_expired    counter  answered dead from the queue
@@ -133,9 +137,27 @@ class RpcServer {
     std::condition_variable drained;  ///< in_flight reached 0.
   };
 
+  /// Registry handles, resolved once (names in the class comment).
+  struct Metrics {
+    Metrics();
+    obs::Counter& accepted;
+    obs::Gauge& connections;
+    obs::Counter& requests;
+    obs::Counter& malformed;
+    obs::Counter& bytes_in;
+    obs::Counter& bytes_out;
+    obs::Gauge& in_flight;
+    obs::Histogram& dispatch_us;
+    std::array<obs::Histogram*, kRpcOpCount> op_us;  ///< By RpcOp.
+    obs::Counter& admission_rejected;
+    obs::Gauge& admission_limit;
+    obs::Counter& shed_expired;
+    obs::Counter& shed_codel;
+  };
+
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Connection> conn);
-  /// Decodes + executes one request frame, writes the response frame.
+  /// Serves one request frame via the op table, writes the response frame.
   /// One pool task per request so expensive provider ops pipelined on the
   /// same connection still execute in parallel across the pool.
   /// `criticality` is the effective class (wire bits, ping/scrape forced
@@ -147,10 +169,9 @@ class RpcServer {
   /// without executing it, and returns its admission slot.
   void RespondShed(const std::shared_ptr<Connection>& conn,
                    FrameHeader header, uint64_t arrival_us);
-  /// Decodes + executes one request, returning the encoded response
-  /// payload. Sets `*decode_ok` to the decode failure when the payload
-  /// behind a well-formed header is garbage (caller drops the connection).
-  Bytes Execute(const FrameHeader& header, Bytes payload, Status* decode_ok);
+  /// Ends a request the reader handed off: returns its admission slot
+  /// (`latency_us` 0 = no limiter sample) and counts it out of in_flight.
+  void Finish(Connection& conn, uint64_t latency_us);
   /// Writes pre-encoded response frame bytes in ONE send under write_mu.
   void WriteFrames(Connection& conn, const Bytes& frames);
   /// Wakes the reader and suppresses future writes. `how` is SHUT_RD for
@@ -159,14 +180,16 @@ class RpcServer {
   /// what makes fd-number reuse by other threads safe.
   void ShutdownConnection(Connection& conn, int how);
 
-  cloud::CloudInfrastructure* cloud_;
+  /// The provider endpoints the op table dispatches onto — the same edge
+  /// an in-process cell calls.
+  net::InProcessTransport provider_;
   Options options_;
+  Metrics metrics_;
   /// Atomic: Shutdown() retires it (exchange to -1) while the accept
   /// thread is reading it for the next accept().
   std::atomic<int> listen_fd_{-1};
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<bool> shutting_down_{false};
   std::thread accept_thread_;
   std::unique_ptr<fleet::WorkerPool> pool_;
   std::mutex conns_mu_;

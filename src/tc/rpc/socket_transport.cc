@@ -4,12 +4,25 @@ namespace tc::rpc {
 
 namespace {
 
-/// A well-formed frame whose payload fails to decode means the transport
-/// scrambled bytes, not that the provider answered — degrade to the
-/// retryable code instead of inventing a definitive outcome.
-Status AsTransportError(const Status& decode_status) {
-  return Status::Unavailable("rpc response undecodable: " +
-                             decode_status.ToString());
+/// One exchange of `Op` on `pool`: encodes `args`, calls, decodes the
+/// reply; `*delay_us` (when non-null) receives the reply's injected delay.
+template <typename Op, typename... Args>
+typename Op::Reply Exchange(RpcClientPool& pool, uint32_t* delay_us,
+                            const Args&... args) {
+  using Codec = ReplyCodec<typename Op::Reply>;
+  auto wire = pool.Call(Op::kOp, EncodeRequest<Op>(args...));
+  if (!wire.ok()) return Codec::Failed(wire.status());
+  uint32_t delay = 0;
+  auto reply = DecodeReply<Op>(wire.value(), &delay);
+  if (!reply.ok()) {
+    // A well-formed frame whose payload fails to decode means the transport
+    // scrambled bytes, not that the provider answered — degrade to the
+    // retryable code instead of inventing a definitive outcome.
+    return Codec::Failed(Status::Unavailable("rpc response undecodable: " +
+                                             reply.status().ToString()));
+  }
+  if (delay_us != nullptr) *delay_us = delay;
+  return std::move(reply).value();
 }
 
 }  // namespace
@@ -25,102 +38,36 @@ SocketTransport::SocketTransport(const std::string& host, uint16_t port,
 SocketTransport::BatchPutOutcome SocketTransport::PutBlobBatch(
     const std::vector<std::pair<std::string, Bytes>>& items,
     const std::vector<std::string>& tokens) {
-  BatchPutOutcome outcome;
-  auto wire = pool_.Call(RpcOp::kPutBlobBatch,
-                         EncodePutBatchRequest(items, tokens));
-  if (!wire.ok()) {
-    outcome.status = wire.status();
-    return outcome;
-  }
-  auto decoded = DecodePutBatchResponse(wire.value());
-  if (!decoded.ok()) {
-    outcome.status = AsTransportError(decoded.status());
-    return outcome;
-  }
-  return std::move(decoded).value();
+  return Exchange<PutBlobBatchOp>(pool_, nullptr, items, tokens);
 }
 
 Result<Bytes> SocketTransport::GetBlob(const std::string& id,
                                        uint32_t* delay_us) {
-  auto wire = pool_.Call(RpcOp::kGetBlob, EncodeGetBlobRequest(id));
-  if (!wire.ok()) return wire.status();
-  auto decoded = DecodeGetBlobResponse(wire.value());
-  if (!decoded.ok()) return AsTransportError(decoded.status());
-  if (delay_us != nullptr) *delay_us = decoded->delay_us;
-  if (!decoded->status.ok()) return decoded->status;
-  return std::move(decoded->data);
+  return Exchange<GetBlobOp>(pool_, delay_us, id);
 }
 
 Result<cloud::SnapshotDescriptor> SocketTransport::GetSnapshot(
     uint32_t* delay_us) {
-  auto wire = pool_.Call(RpcOp::kGetSnapshot, Bytes{});
-  if (!wire.ok()) return wire.status();
-  auto decoded = DecodeGetSnapshotResponse(wire.value());
-  if (!decoded.ok()) return AsTransportError(decoded.status());
-  if (delay_us != nullptr) *delay_us = decoded->delay_us;
-  if (!decoded->status.ok()) return decoded->status;
-  return std::move(decoded->snapshot);
+  return Exchange<GetSnapshotOp>(pool_, delay_us);
 }
 
 Result<cloud::SnapshotRead> SocketTransport::GetAtSnapshot(
     const std::string& id, const cloud::SnapshotDescriptor& snap,
     uint32_t* delay_us) {
-  GetAtSnapshotRequest req;
-  req.id = id;
-  req.snapshot = snap;
-  auto wire = pool_.Call(RpcOp::kGetAtSnapshot, EncodeGetAtSnapshotRequest(req));
-  if (!wire.ok()) return wire.status();
-  auto decoded = DecodeGetAtSnapshotResponse(wire.value());
-  if (!decoded.ok()) return AsTransportError(decoded.status());
-  if (delay_us != nullptr) *delay_us = decoded->delay_us;
-  if (!decoded->status.ok()) return decoded->status;
-  return std::move(decoded->read);
+  return Exchange<GetAtSnapshotOp>(pool_, delay_us, id, snap);
+}
+
+cloud::TxnOutcome SocketTransport::CommitTxn(const cloud::TxnRequest& req) {
+  return Exchange<CommitTxnOp>(pool_, nullptr, req);
 }
 
 obs::TelemetryHub::ReportOutcome SocketTransport::ReportTelemetry(
     const Bytes& frame, uint32_t* delay_us) {
-  obs::TelemetryHub::ReportOutcome outcome;
-  auto wire = pool_.Call(RpcOp::kReportTelemetry, frame);
-  if (!wire.ok()) {
-    outcome.status = wire.status();
-    return outcome;
-  }
-  auto decoded = DecodeReportTelemetryResponse(wire.value());
-  if (!decoded.ok()) {
-    outcome.status = AsTransportError(decoded.status());
-    return outcome;
-  }
-  if (delay_us != nullptr) *delay_us = decoded->delay_us;
-  outcome.status = decoded->status;
-  outcome.applied = decoded->applied;
-  outcome.duplicate = decoded->duplicate;
-  outcome.last_seq = decoded->last_seq;
-  return outcome;
+  return Exchange<ReportTelemetryOp>(pool_, delay_us, frame);
 }
 
 Result<std::string> SocketTransport::ScrapeTelemetry(uint32_t* delay_us) {
-  auto wire = pool_.Call(RpcOp::kScrapeTelemetry, Bytes{});
-  if (!wire.ok()) return wire.status();
-  auto decoded = DecodeScrapeTelemetryResponse(wire.value());
-  if (!decoded.ok()) return AsTransportError(decoded.status());
-  if (delay_us != nullptr) *delay_us = decoded->delay_us;
-  if (!decoded->status.ok()) return decoded->status;
-  return std::move(decoded->json);
-}
-
-cloud::TxnOutcome SocketTransport::CommitTxn(const cloud::TxnRequest& req) {
-  cloud::TxnOutcome outcome;
-  auto wire = pool_.Call(RpcOp::kCommitTxn, EncodeTxnRequest(req));
-  if (!wire.ok()) {
-    outcome.status = wire.status();
-    return outcome;
-  }
-  auto decoded = DecodeTxnOutcome(wire.value());
-  if (!decoded.ok()) {
-    outcome.status = AsTransportError(decoded.status());
-    return outcome;
-  }
-  return std::move(decoded).value();
+  return Exchange<ScrapeTelemetryOp>(pool_, delay_us);
 }
 
 }  // namespace tc::rpc

@@ -13,7 +13,8 @@
 namespace tc::rpc {
 
 /// net::CloudTransport over a real TCP connection pool: every channel
-/// attempt becomes one framed request/response exchange with an RpcServer.
+/// attempt becomes one framed request/response exchange with an RpcServer,
+/// encoded and decoded by the op's description in the wire op table.
 ///
 /// Failure mapping (the transport contract): a connection failure, pool
 /// exhaustion or response-decode failure surfaces as kUnavailable, a

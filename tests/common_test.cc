@@ -133,6 +133,18 @@ TEST(CodecTest, BytesLengthLieDetected) {
   EXPECT_EQ(r.GetBytes().status().code(), StatusCode::kCorruption);
 }
 
+TEST(CodecTest, CheckCountBoundsACountByTheBytesLeft) {
+  const Bytes buf(16, 0);
+  BinaryReader r(buf);
+  EXPECT_TRUE(r.CheckCount(2, 8).ok());   // Exactly fits.
+  EXPECT_EQ(r.CheckCount(3, 8).code(), StatusCode::kCorruption);
+  EXPECT_TRUE(r.CheckCount(16, 0).ok());  // 0 counts as 1 byte each.
+  EXPECT_EQ(r.CheckCount(17, 0).code(), StatusCode::kCorruption);
+  EXPECT_EQ(r.CheckCount(UINT64_MAX, 1).code(), StatusCode::kCorruption);
+  ASSERT_TRUE(r.GetU64().ok());
+  EXPECT_EQ(r.CheckCount(2, 8).code(), StatusCode::kCorruption);
+}
+
 TEST(ClockTest, SimulatedClockAdvances) {
   SimulatedClock clock(1000);
   EXPECT_EQ(clock.Now(), 1000);

@@ -18,6 +18,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -383,7 +384,7 @@ TEST(OverloadWireTest, HeaderCarriesBudgetCriticalityAndPushback) {
     h.request_id = 42;
     h.budget_us = 125'000;
     h.set_criticality(criticality);
-    Bytes buf = rpc::EncodeFrameHeader(h);
+    Bytes buf = rpc::EncodeFrame(h, Bytes());
     ASSERT_EQ(buf.size(), rpc::kFrameHeaderBytes);
     auto decoded = rpc::DecodeFrameHeader(buf.data(), buf.size());
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -396,7 +397,7 @@ TEST(OverloadWireTest, HeaderCarriesBudgetCriticalityAndPushback) {
   pushback.op = rpc::RpcOp::kGetBlob;
   pushback.flags = rpc::kFlagResponse | rpc::kFlagPushback;
   pushback.budget_us = 2500;
-  Bytes buf = rpc::EncodeFrameHeader(pushback);
+  Bytes buf = rpc::EncodeFrame(pushback, Bytes());
   auto decoded = rpc::DecodeFrameHeader(buf.data(), buf.size());
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->response());
@@ -408,7 +409,7 @@ TEST(OverloadWireTest, RejectsCorruptCriticalityBits) {
   rpc::FrameHeader h;
   h.op = rpc::RpcOp::kGetBlob;
   h.flags = rpc::kFlagCriticalityMask;  // Bit pattern 3: no such class.
-  Bytes buf = rpc::EncodeFrameHeader(h);
+  Bytes buf = rpc::EncodeFrame(h, Bytes());
   auto decoded = rpc::DecodeFrameHeader(buf.data(), buf.size());
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
@@ -428,57 +429,29 @@ TEST(OverloadWireTest, ResourceExhaustedStatusRoundTripsEveryCodec) {
               std::string::npos);
   };
 
-  for (uint8_t op_byte = 1; op_byte < rpc::kRpcOpCount; ++op_byte) {
-    const rpc::RpcOp op = static_cast<rpc::RpcOp>(op_byte);
-    Bytes payload = rpc::EncodeStatusOnlyResponse(op, pushback);
-    switch (op) {
-      case rpc::RpcOp::kPutBlobBatch: {
-        auto decoded = rpc::DecodePutBatchResponse(payload);
-        ASSERT_TRUE(decoded.ok());
-        expect_round_trip(decoded->status);
-        break;
+  size_t covered = 0;
+  rpc::ForEachOp([&]<typename Op>() {
+    const Bytes payload = rpc::EncodeStatusOnlyReply(Op::kOp, pushback);
+    if constexpr (std::is_same_v<typename Op::Reply, Bytes>) {
+      // The ping's reply is its echo; its status rides the header alone.
+      EXPECT_TRUE(payload.empty());
+    } else {
+      uint32_t delay = 0;
+      auto decoded = rpc::DecodeReply<Op>(payload, &delay);
+      ASSERT_TRUE(decoded.ok()) << Op::kName;
+      const auto& reply = decoded.value();
+      if constexpr (requires { reply.status; }) {
+        expect_round_trip(reply.status);
+      } else {
+        expect_round_trip(reply.status());
       }
-      case rpc::RpcOp::kGetBlob: {
-        auto decoded = rpc::DecodeGetBlobResponse(payload);
-        ASSERT_TRUE(decoded.ok());
-        expect_round_trip(decoded->status);
-        break;
+      if constexpr (std::is_same_v<Op, rpc::CommitTxnOp>) {
+        EXPECT_FALSE(reply.committed);
       }
-      case rpc::RpcOp::kGetSnapshot: {
-        auto decoded = rpc::DecodeGetSnapshotResponse(payload);
-        ASSERT_TRUE(decoded.ok());
-        expect_round_trip(decoded->status);
-        break;
-      }
-      case rpc::RpcOp::kGetAtSnapshot: {
-        auto decoded = rpc::DecodeGetAtSnapshotResponse(payload);
-        ASSERT_TRUE(decoded.ok());
-        expect_round_trip(decoded->status);
-        break;
-      }
-      case rpc::RpcOp::kCommitTxn: {
-        auto decoded = rpc::DecodeTxnOutcome(payload);
-        ASSERT_TRUE(decoded.ok());
-        EXPECT_FALSE(decoded->committed);
-        expect_round_trip(decoded->status);
-        break;
-      }
-      case rpc::RpcOp::kReportTelemetry: {
-        auto decoded = rpc::DecodeReportTelemetryResponse(payload);
-        ASSERT_TRUE(decoded.ok());
-        expect_round_trip(decoded->status);
-        break;
-      }
-      case rpc::RpcOp::kScrapeTelemetry: {
-        auto decoded = rpc::DecodeScrapeTelemetryResponse(payload);
-        ASSERT_TRUE(decoded.ok());
-        expect_round_trip(decoded->status);
-        break;
-      }
-      default:
-        break;
+      ++covered;
     }
-  }
+  });
+  EXPECT_EQ(covered, rpc::kRpcOpCount - 1);  // Every op but the ping.
 }
 
 // ---------------------------------------------------------------------------

@@ -21,14 +21,18 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "tc/cloud/fault_injector.h"
 #include "tc/cloud/infrastructure.h"
+#include "tc/common/overload.h"
 #include "tc/common/rng.h"
 #include "tc/fleet/fleet.h"
 #include "tc/net/channel.h"
+#include "tc/obs/telemetry.h"
 #include "tc/obs/trace.h"
 #include "tc/rpc/client.h"
 #include "tc/rpc/server.h"
@@ -54,7 +58,7 @@ using cloud::CloudInfrastructure;
 // ---------------------------------------------------------------------------
 
 TEST(WireFrameTest, HeaderRoundTripsEveryOp) {
-  for (uint8_t op = 0; op <= static_cast<uint8_t>(RpcOp::kCommitTxn); ++op) {
+  for (uint8_t op = 0; op < kRpcOpCount; ++op) {
     FrameHeader h;
     h.op = static_cast<RpcOp>(op);
     h.flags = (op % 2) ? kFlagResponse : 0;
@@ -62,10 +66,11 @@ TEST(WireFrameTest, HeaderRoundTripsEveryOp) {
     h.trace.trace_id = 0xdeadbeefcafef00dULL;
     h.trace.span_id = 42 + op;
     h.trace.parent_id = 7;
-    h.payload_size = 123456;
-    Bytes buf = EncodeFrameHeader(h);
-    ASSERT_EQ(buf.size(), kFrameHeaderBytes);
-    auto decoded = DecodeFrameHeader(buf.data(), buf.size());
+    h.budget_us = 1000u * op;
+    const Bytes body(100 + op, op);
+    Bytes buf = EncodeFrame(h, body);
+    ASSERT_EQ(buf.size(), kFrameHeaderBytes + body.size());
+    auto decoded = DecodeFrameHeader(buf.data(), kFrameHeaderBytes);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded->op, h.op);
     EXPECT_EQ(decoded->flags, h.flags);
@@ -73,14 +78,34 @@ TEST(WireFrameTest, HeaderRoundTripsEveryOp) {
     EXPECT_EQ(decoded->trace.trace_id, h.trace.trace_id);
     EXPECT_EQ(decoded->trace.span_id, h.trace.span_id);
     EXPECT_EQ(decoded->trace.parent_id, h.trace.parent_id);
-    EXPECT_EQ(decoded->payload_size, h.payload_size);
+    EXPECT_EQ(decoded->payload_size, body.size());
+    EXPECT_EQ(decoded->budget_us, h.budget_us);
     EXPECT_EQ(decoded->response(), h.flags == kFlagResponse);
+    EXPECT_STRNE(RpcOpName(h.op), "unknown");
   }
+  EXPECT_FALSE(RpcOpKnown(kRpcOpCount));
+}
+
+TEST(WireFrameTest, EncodeFrameIsHeaderThenBody) {
+  FrameHeader h;
+  h.op = RpcOp::kGetBlob;
+  h.request_id = 9;
+  h.payload_size = 777;  // Overwritten from the body.
+  const Bytes body = {1, 2, 3, 4, 5};
+  Bytes frame = EncodeFrame(h, body);
+  ASSERT_EQ(frame.size(), kFrameHeaderBytes + body.size());
+  auto decoded = DecodeFrameHeader(frame.data(), frame.size());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->payload_size, body.size());
+  EXPECT_EQ(decoded->request_id, 9u);
+  EXPECT_EQ(Bytes(frame.begin() + kFrameHeaderBytes, frame.end()), body);
+  // An empty body is the bare header.
+  EXPECT_EQ(EncodeFrame(h, Bytes()).size(), kFrameHeaderBytes);
 }
 
 TEST(WireFrameTest, RejectsBadMagicVersionOpAndOversize) {
   FrameHeader h;
-  Bytes good = EncodeFrameHeader(h);
+  Bytes good = EncodeFrame(h, Bytes());
 
   Bytes bad_magic = good;
   bad_magic[0] ^= 0xff;
@@ -117,8 +142,10 @@ TEST(WireFrameTest, RejectsBadMagicVersionOpAndOversize) {
 }
 
 // ---------------------------------------------------------------------------
-// Payload codecs: round-trip property sweep over every RPC type
+// Payload codecs: round-trip property sweep over every op of the table
 // ---------------------------------------------------------------------------
+
+using BlobItems = std::vector<std::pair<std::string, Bytes>>;
 
 Bytes RandomPayload(Rng& rng, size_t n) { return rng.NextBytes(n); }
 
@@ -135,10 +162,21 @@ cloud::SnapshotDescriptor RandomSnapshot(Rng& rng) {
   return snap;
 }
 
+/// The status a reply carries (a field of outcome structs, the Result's
+/// own status otherwise).
+template <typename Reply>
+Status ReplyStatus(const Reply& reply) {
+  if constexpr (requires { reply.status; }) {
+    return reply.status;
+  } else {
+    return reply.status();
+  }
+}
+
 TEST(WireCodecTest, PutBatchRoundTrip) {
   Rng rng(1);
   for (int iter = 0; iter < 50; ++iter) {
-    std::vector<std::pair<std::string, Bytes>> items;
+    BlobItems items;
     std::vector<std::string> tokens;
     size_t n = rng.NextU64() % 6;  // Includes the empty batch.
     for (size_t i = 0; i < n; ++i) {
@@ -147,16 +185,22 @@ TEST(WireCodecTest, PutBatchRoundTrip) {
       tokens.push_back("tok/" + std::to_string(i));
     }
     if (iter % 3 == 0) tokens.clear();  // Tokenless batches are legal.
-    Bytes wire = EncodePutBatchRequest(items, tokens);
-    auto decoded = DecodePutBatchRequest(wire);
+    Bytes wire = EncodeRequest<PutBlobBatchOp>(items, tokens);
+    auto decoded = DecodeRequest<PutBlobBatchOp>(wire);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    ASSERT_EQ(decoded->items.size(), items.size());
+    const auto& [got_items, got_tokens] = decoded.value();
+    ASSERT_EQ(got_items.size(), items.size());
     for (size_t i = 0; i < items.size(); ++i) {
-      EXPECT_EQ(decoded->items[i].first, items[i].first);
-      EXPECT_EQ(decoded->items[i].second, items[i].second);
+      EXPECT_EQ(got_items[i].first, items[i].first);
+      EXPECT_EQ(got_items[i].second, items[i].second);
     }
-    EXPECT_EQ(decoded->tokens, tokens);
+    EXPECT_EQ(got_tokens, tokens);
   }
+  // Tokens are per-item: a mismatched count is a protocol error.
+  auto mismatched = DecodeRequest<PutBlobBatchOp>(EncodeRequest<PutBlobBatchOp>(
+      BlobItems{{"a", Bytes{1}}, {"b", Bytes{2}}},
+      std::vector<std::string>{"only-one"}));
+  EXPECT_EQ(mismatched.status().code(), StatusCode::kCorruption);
 }
 
 TEST(WireCodecTest, PutBatchResponseRoundTripIncludingPartialAndErrors) {
@@ -172,12 +216,15 @@ TEST(WireCodecTest, PutBatchResponseRoundTripIncludingPartialAndErrors) {
     if (iter % 2) out.status = Status::Unavailable("torn batch");
     out.delay_us = static_cast<uint32_t>(rng.NextU64());
     out.fault_ordinal = rng.NextU64();
-    auto decoded = DecodePutBatchResponse(EncodePutBatchResponse(out));
+    uint32_t delay = 0;
+    auto decoded = DecodeReply<PutBlobBatchOp>(
+        EncodeReply<PutBlobBatchOp>(out, 0), &delay);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded->status, out.status);
     EXPECT_EQ(decoded->versions, out.versions);
     EXPECT_EQ(decoded->acked, out.acked);
     EXPECT_EQ(decoded->delay_us, out.delay_us);
+    EXPECT_EQ(delay, out.delay_us);
     EXPECT_EQ(decoded->fault_ordinal, out.fault_ordinal);
   }
 }
@@ -185,59 +232,63 @@ TEST(WireCodecTest, PutBatchResponseRoundTripIncludingPartialAndErrors) {
 TEST(WireCodecTest, GetBlobRoundTripEmptyAndLarge) {
   Rng rng(3);
   for (size_t size : {size_t{0}, size_t{1}, size_t{64 * 1024}}) {
-    auto id = DecodeGetBlobRequest(EncodeGetBlobRequest("some/blob"));
+    auto id = DecodeRequest<GetBlobOp>(
+        EncodeRequest<GetBlobOp>(std::string("some/blob")));
     ASSERT_TRUE(id.ok());
-    EXPECT_EQ(id.value(), "some/blob");
+    EXPECT_EQ(std::get<0>(id.value()), "some/blob");
 
-    GetBlobResponse resp;
-    resp.data = RandomPayload(rng, size);
-    resp.delay_us = 777;
-    auto decoded = DecodeGetBlobResponse(EncodeGetBlobResponse(resp));
+    const Bytes data = RandomPayload(rng, size);
+    uint32_t delay = 0;
+    auto decoded =
+        DecodeReply<GetBlobOp>(EncodeReply<GetBlobOp>(data, 777), &delay);
     ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded->data, resp.data);
-    EXPECT_EQ(decoded->delay_us, resp.delay_us);
-    EXPECT_TRUE(decoded->status.ok());
+    ASSERT_TRUE(decoded->ok());
+    EXPECT_EQ(decoded->value(), data);
+    EXPECT_EQ(delay, 777u);
   }
-  GetBlobResponse not_found;
-  not_found.status = Status::NotFound("no blob");
-  auto decoded = DecodeGetBlobResponse(EncodeGetBlobResponse(not_found));
+  uint32_t delay = 0;
+  auto decoded = DecodeReply<GetBlobOp>(
+      EncodeReply<GetBlobOp>(Status::NotFound("no blob"), 5), &delay);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->status.code(), StatusCode::kNotFound);
-  EXPECT_EQ(decoded->status.message(), "no blob");
+  EXPECT_EQ(decoded->status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(decoded->status().message(), "no blob");
+  EXPECT_EQ(delay, 5u);
 }
 
 TEST(WireCodecTest, SnapshotRpcsRoundTrip) {
   Rng rng(4);
   for (int iter = 0; iter < 50; ++iter) {
-    GetSnapshotResponse snap_resp;
-    snap_resp.snapshot = RandomSnapshot(rng);
-    snap_resp.delay_us = 5;
-    auto snap = DecodeGetSnapshotResponse(
-        EncodeGetSnapshotResponse(snap_resp));
+    const cloud::SnapshotDescriptor snapshot = RandomSnapshot(rng);
+    uint32_t delay = 0;
+    auto snap = DecodeReply<GetSnapshotOp>(
+        EncodeReply<GetSnapshotOp>(snapshot, 5), &delay);
     ASSERT_TRUE(snap.ok());
-    EXPECT_EQ(snap->snapshot.base_seq, snap_resp.snapshot.base_seq);
-    EXPECT_EQ(snap->snapshot.extra_seqs, snap_resp.snapshot.extra_seqs);
-    EXPECT_EQ(snap->snapshot.shard_high, snap_resp.snapshot.shard_high);
+    ASSERT_TRUE(snap->ok());
+    EXPECT_EQ((*snap)->base_seq, snapshot.base_seq);
+    EXPECT_EQ((*snap)->extra_seqs, snapshot.extra_seqs);
+    EXPECT_EQ((*snap)->shard_high, snapshot.shard_high);
+    EXPECT_EQ(delay, 5u);
 
-    GetAtSnapshotRequest req;
-    req.id = "doc" + std::to_string(iter);
-    req.snapshot = RandomSnapshot(rng);
-    auto dreq = DecodeGetAtSnapshotRequest(EncodeGetAtSnapshotRequest(req));
+    const std::string id = "doc" + std::to_string(iter);
+    const cloud::SnapshotDescriptor at = RandomSnapshot(rng);
+    auto dreq = DecodeRequest<GetAtSnapshotOp>(
+        EncodeRequest<GetAtSnapshotOp>(id, at));
     ASSERT_TRUE(dreq.ok());
-    EXPECT_EQ(dreq->id, req.id);
-    EXPECT_EQ(dreq->snapshot.base_seq, req.snapshot.base_seq);
-    EXPECT_EQ(dreq->snapshot.extra_seqs, req.snapshot.extra_seqs);
+    EXPECT_EQ(std::get<0>(dreq.value()), id);
+    EXPECT_EQ(std::get<1>(dreq.value()).base_seq, at.base_seq);
+    EXPECT_EQ(std::get<1>(dreq.value()).extra_seqs, at.extra_seqs);
 
-    GetAtSnapshotResponse resp;
-    resp.read.data = RandomPayload(rng, rng.NextU64() % 512);
-    resp.read.version = rng.NextU64();
-    resp.read.commit_seq = rng.NextU64();
-    auto dresp =
-        DecodeGetAtSnapshotResponse(EncodeGetAtSnapshotResponse(resp));
+    cloud::SnapshotRead read;
+    read.data = RandomPayload(rng, rng.NextU64() % 512);
+    read.version = rng.NextU64();
+    read.commit_seq = rng.NextU64();
+    auto dresp = DecodeReply<GetAtSnapshotOp>(
+        EncodeReply<GetAtSnapshotOp>(read, 0), &delay);
     ASSERT_TRUE(dresp.ok());
-    EXPECT_EQ(dresp->read.data, resp.read.data);
-    EXPECT_EQ(dresp->read.version, resp.read.version);
-    EXPECT_EQ(dresp->read.commit_seq, resp.read.commit_seq);
+    ASSERT_TRUE(dresp->ok());
+    EXPECT_EQ((*dresp)->data, read.data);
+    EXPECT_EQ((*dresp)->version, read.version);
+    EXPECT_EQ((*dresp)->commit_seq, read.commit_seq);
   }
 }
 
@@ -259,19 +310,21 @@ TEST(WireCodecTest, TxnRoundTrip) {
           (rng.NextU64() % 4 == 0) ? cloud::kBaseVersionAny : rng.NextU64() % 100;
       req.writes.push_back(std::move(w));
     }
-    auto dreq = DecodeTxnRequest(EncodeTxnRequest(req));
-    ASSERT_TRUE(dreq.ok()) << dreq.status().ToString();
-    EXPECT_EQ(dreq->token, req.token);
-    ASSERT_EQ(dreq->reads.size(), req.reads.size());
+    auto decoded_req =
+        DecodeRequest<CommitTxnOp>(EncodeRequest<CommitTxnOp>(req));
+    ASSERT_TRUE(decoded_req.ok()) << decoded_req.status().ToString();
+    const cloud::TxnRequest& dreq = std::get<0>(decoded_req.value());
+    EXPECT_EQ(dreq.token, req.token);
+    ASSERT_EQ(dreq.reads.size(), req.reads.size());
     for (size_t i = 0; i < req.reads.size(); ++i) {
-      EXPECT_EQ(dreq->reads[i].id, req.reads[i].id);
-      EXPECT_EQ(dreq->reads[i].version, req.reads[i].version);
+      EXPECT_EQ(dreq.reads[i].id, req.reads[i].id);
+      EXPECT_EQ(dreq.reads[i].version, req.reads[i].version);
     }
-    ASSERT_EQ(dreq->writes.size(), req.writes.size());
+    ASSERT_EQ(dreq.writes.size(), req.writes.size());
     for (size_t i = 0; i < req.writes.size(); ++i) {
-      EXPECT_EQ(dreq->writes[i].id, req.writes[i].id);
-      EXPECT_EQ(dreq->writes[i].data, req.writes[i].data);
-      EXPECT_EQ(dreq->writes[i].base_version, req.writes[i].base_version);
+      EXPECT_EQ(dreq.writes[i].id, req.writes[i].id);
+      EXPECT_EQ(dreq.writes[i].data, req.writes[i].data);
+      EXPECT_EQ(dreq.writes[i].base_version, req.writes[i].base_version);
     }
 
     cloud::TxnOutcome out;
@@ -288,7 +341,9 @@ TEST(WireCodecTest, TxnRoundTrip) {
     }
     out.delay_us = static_cast<uint32_t>(rng.NextU64());
     out.fault_ordinal = rng.NextU64();
-    auto dout = DecodeTxnOutcome(EncodeTxnOutcome(out));
+    uint32_t delay = 0;
+    auto dout =
+        DecodeReply<CommitTxnOp>(EncodeReply<CommitTxnOp>(out, 0), &delay);
     ASSERT_TRUE(dout.ok());
     EXPECT_EQ(dout->status, out.status);
     EXPECT_EQ(dout->committed, out.committed);
@@ -296,69 +351,180 @@ TEST(WireCodecTest, TxnRoundTrip) {
     EXPECT_EQ(dout->commit_seq, out.commit_seq);
     EXPECT_EQ(dout->versions, out.versions);
     EXPECT_EQ(dout->conflict_id, out.conflict_id);
+    EXPECT_EQ(dout->delay_us, out.delay_us);
+    EXPECT_EQ(dout->fault_ordinal, out.fault_ordinal);
   }
 }
 
+TEST(WireCodecTest, TelemetryRpcsRoundTrip) {
+  // The report request is the telemetry frame verbatim.
+  const Bytes frame = {0xde, 0xad, 0xbe, 0xef};
+  EXPECT_EQ(EncodeRequest<ReportTelemetryOp>(frame), frame);
+  auto dreq = DecodeRequest<ReportTelemetryOp>(frame);
+  ASSERT_TRUE(dreq.ok());
+  EXPECT_EQ(std::get<0>(dreq.value()), frame);
+
+  for (bool duplicate : {false, true}) {
+    ReportOutcome out;
+    out.applied = !duplicate;
+    out.duplicate = duplicate;
+    out.last_seq = 41 + duplicate;
+    uint32_t delay = 0;
+    auto decoded = DecodeReply<ReportTelemetryOp>(
+        EncodeReply<ReportTelemetryOp>(out, 300), &delay);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_TRUE(decoded->status.ok());
+    EXPECT_EQ(decoded->applied, out.applied);
+    EXPECT_EQ(decoded->duplicate, out.duplicate);
+    EXPECT_EQ(decoded->last_seq, out.last_seq);
+    EXPECT_EQ(delay, 300u);
+  }
+
+  uint32_t delay = 0;
+  auto json = DecodeReply<ScrapeTelemetryOp>(
+      EncodeReply<ScrapeTelemetryOp>(std::string("{\"stats\":{}}"), 9),
+      &delay);
+  ASSERT_TRUE(json.ok());
+  ASSERT_TRUE(json->ok());
+  EXPECT_EQ(json->value(), "{\"stats\":{}}");
+  EXPECT_EQ(delay, 9u);
+  // The scrape takes no arguments: any payload byte is corruption.
+  EXPECT_FALSE(DecodeRequest<ScrapeTelemetryOp>(Bytes{0}).ok());
+}
+
+/// One sample of each op's request payload and reply, so the table-driven
+/// sweeps below cover every op: a new op without a sample does not compile.
+template <typename Op>
+struct WireSample;
+
+template <>
+struct WireSample<PingOp> {
+  static Bytes Request(Rng& rng) {
+    return EncodeRequest<PingOp>(RandomPayload(rng, 16));
+  }
+  static Bytes Reply(Rng& rng) { return RandomPayload(rng, 16); }
+};
+
+template <>
+struct WireSample<PutBlobBatchOp> {
+  static Bytes Request(Rng& rng) {
+    return EncodeRequest<PutBlobBatchOp>(
+        BlobItems{{"a", RandomPayload(rng, 100)}, {"b", RandomPayload(rng, 3)}},
+        std::vector<std::string>{"t1", "t2"});
+  }
+  static CloudInfrastructure::BatchPutOutcome Reply(Rng&) {
+    CloudInfrastructure::BatchPutOutcome out;
+    out.versions = {1, 2};
+    out.acked = {1, 1};
+    out.fault_ordinal = 3;
+    return out;
+  }
+};
+
+template <>
+struct WireSample<GetBlobOp> {
+  static Bytes Request(Rng&) {
+    return EncodeRequest<GetBlobOp>(std::string("blob/a"));
+  }
+  static Result<Bytes> Reply(Rng& rng) { return RandomPayload(rng, 64); }
+};
+
+template <>
+struct WireSample<GetSnapshotOp> {
+  static Bytes Request(Rng&) { return EncodeRequest<GetSnapshotOp>(); }
+  static Result<cloud::SnapshotDescriptor> Reply(Rng& rng) {
+    return RandomSnapshot(rng);
+  }
+};
+
+template <>
+struct WireSample<GetAtSnapshotOp> {
+  static Bytes Request(Rng& rng) {
+    return EncodeRequest<GetAtSnapshotOp>(std::string("k"),
+                                          RandomSnapshot(rng));
+  }
+  static Result<cloud::SnapshotRead> Reply(Rng& rng) {
+    cloud::SnapshotRead read;
+    read.data = RandomPayload(rng, 30);
+    read.version = 2;
+    return read;
+  }
+};
+
+template <>
+struct WireSample<CommitTxnOp> {
+  static Bytes Request(Rng& rng) {
+    cloud::TxnRequest txn;
+    txn.token = "txn/x";
+    txn.snapshot = RandomSnapshot(rng);
+    txn.reads.push_back({"k", 3});
+    txn.writes.push_back({"k", RandomPayload(rng, 40), 3});
+    return EncodeRequest<CommitTxnOp>(txn);
+  }
+  static cloud::TxnOutcome Reply(Rng&) {
+    cloud::TxnOutcome out;
+    out.committed = true;
+    out.versions = {4};
+    return out;
+  }
+};
+
+template <>
+struct WireSample<ReportTelemetryOp> {
+  static Bytes Request(Rng& rng) {
+    return EncodeRequest<ReportTelemetryOp>(RandomPayload(rng, 24));
+  }
+  static ReportOutcome Reply(Rng&) {
+    ReportOutcome out;
+    out.applied = true;
+    out.last_seq = 12;
+    return out;
+  }
+};
+
+template <>
+struct WireSample<ScrapeTelemetryOp> {
+  static Bytes Request(Rng&) { return EncodeRequest<ScrapeTelemetryOp>(); }
+  static Result<std::string> Reply(Rng&) {
+    return std::string("{\"stats\":{\"reports\":1}}");
+  }
+};
+
 // Every decoder must reject every truncation of a valid payload without
 // crashing or over-reading, and survive deterministic byte corruption
-// (either failing cleanly or decoding *something* — never UB).
+// (either failing cleanly or decoding *something* — never UB). Driven by
+// the op table: each op's request and reply is a case.
 TEST(WireCodecTest, TruncationAndFuzzNeverCrashOrOverRead) {
   Rng rng(6);
-  std::vector<std::pair<std::string, Bytes>> items = {
-      {"a", RandomPayload(rng, 100)}, {"b", RandomPayload(rng, 3)}};
-  std::vector<std::string> tokens = {"t1", "t2"};
-  cloud::TxnRequest txn;
-  txn.token = "txn/x";
-  txn.snapshot = RandomSnapshot(rng);
-  txn.reads.push_back({"k", 3});
-  txn.writes.push_back({"k", RandomPayload(rng, 40), 3});
-  cloud::TxnOutcome txn_out;
-  txn_out.committed = true;
-  txn_out.versions = {4};
-  CloudInfrastructure::BatchPutOutcome put_out;
-  put_out.versions = {1, 2};
-  put_out.acked = {1, 1};
-
-  GetAtSnapshotRequest at_req;
-  at_req.id = "k";
-  at_req.snapshot = RandomSnapshot(rng);
-  GetSnapshotResponse snap_resp;
-  snap_resp.snapshot = RandomSnapshot(rng);
-  GetAtSnapshotResponse at_resp;
-  at_resp.read.data = RandomPayload(rng, 30);
-
-  GetBlobResponse blob_resp;
-  blob_resp.data = RandomPayload(rng, 64);
-
   struct Case {
-    const char* name;
+    std::string name;
     Bytes wire;
     std::function<Status(const Bytes&)> decode;
+    /// False for a verbatim payload (ping, telemetry frame): the wire
+    /// does not frame it, so every prefix and suffix is a valid value.
+    bool framed;
   };
-  std::vector<Case> cases = {
-      {"put_req", EncodePutBatchRequest(items, tokens),
-       [](const Bytes& b) { return DecodePutBatchRequest(b).status(); }},
-      {"put_resp", EncodePutBatchResponse(put_out),
-       [](const Bytes& b) { return DecodePutBatchResponse(b).status(); }},
-      {"get_req", EncodeGetBlobRequest("blob/a"),
-       [](const Bytes& b) { return DecodeGetBlobRequest(b).status(); }},
-      {"get_resp", EncodeGetBlobResponse(blob_resp),
-       [](const Bytes& b) { return DecodeGetBlobResponse(b).status(); }},
-      {"snap_resp", EncodeGetSnapshotResponse(snap_resp),
-       [](const Bytes& b) { return DecodeGetSnapshotResponse(b).status(); }},
-      {"at_req", EncodeGetAtSnapshotRequest(at_req),
-       [](const Bytes& b) { return DecodeGetAtSnapshotRequest(b).status(); }},
-      {"at_resp", EncodeGetAtSnapshotResponse(at_resp),
-       [](const Bytes& b) { return DecodeGetAtSnapshotResponse(b).status(); }},
-      {"txn_req", EncodeTxnRequest(txn),
-       [](const Bytes& b) { return DecodeTxnRequest(b).status(); }},
-      {"txn_resp", EncodeTxnOutcome(txn_out),
-       [](const Bytes& b) { return DecodeTxnOutcome(b).status(); }},
-  };
+  std::vector<Case> cases;
+  ForEachOp([&]<typename Op>() {
+    cases.push_back(
+        {std::string(Op::kName) + "_req", WireSample<Op>::Request(rng),
+         [](const Bytes& b) { return DecodeRequest<Op>(b).status(); },
+         !std::is_same_v<typename Op::Request, std::tuple<Bytes>>});
+    cases.push_back(
+        {std::string(Op::kName) + "_reply",
+         EncodeReply<Op>(WireSample<Op>::Reply(rng), 7),
+         [](const Bytes& b) {
+           uint32_t delay = 0;
+           return DecodeReply<Op>(b, &delay).status();
+         },
+         !std::is_same_v<typename Op::Reply, Bytes>});
+  });
+  ASSERT_EQ(cases.size(), 2 * kRpcOpCount);
 
   for (const auto& c : cases) {
     // Full payload decodes.
     EXPECT_TRUE(c.decode(c.wire).ok()) << c.name;
+    if (!c.framed) continue;
     // Every strict prefix fails cleanly (ASan enforces "no over-read").
     for (size_t n = 0; n < c.wire.size(); ++n) {
       Bytes truncated(c.wire.begin(), c.wire.begin() + n);
@@ -380,6 +546,415 @@ TEST(WireCodecTest, TruncationAndFuzzNeverCrashOrOverRead) {
     Bytes padded = c.wire;
     padded.push_back(0xab);
     EXPECT_FALSE(c.decode(padded).ok()) << c.name;
+  }
+}
+
+// Every op's status-only reply (what the server sends for a request it
+// refused to run) decodes to exactly that status and default fields.
+TEST(WireCodecTest, StatusOnlyReplyDecodesForEveryOp) {
+  const Status refused = Status::DeadlineExceeded("expired in queue");
+  size_t covered = 0;
+  ForEachOp([&]<typename Op>() {
+    ++covered;
+    const Bytes payload = EncodeStatusOnlyReply(Op::kOp, refused);
+    if constexpr (std::is_same_v<typename Op::Reply, Bytes>) {
+      EXPECT_TRUE(payload.empty());  // The ping's status rides the header.
+    } else {
+      uint32_t delay = 1;
+      auto decoded = DecodeReply<Op>(payload, &delay);
+      ASSERT_TRUE(decoded.ok()) << Op::kName;
+      EXPECT_EQ(ReplyStatus(decoded.value()), refused) << Op::kName;
+      EXPECT_EQ(delay, 0u) << Op::kName;
+    }
+  });
+  EXPECT_EQ(covered, kRpcOpCount);
+}
+
+// ---------------------------------------------------------------------------
+// Wire-format freeze: the exact bytes of every op
+// ---------------------------------------------------------------------------
+//
+// Pins what crosses the socket rather than what a codec function returns:
+// the request frames SocketTransport sends, the reply frames an RpcServer
+// writes, the status-only replies its admission edge sends back, and how
+// the client decodes each of them. It reaches the wire only through the
+// transport, the server and raw sockets, so a change to the codecs behind
+// them that moves a single byte fails here.
+
+std::string ToHex(const Bytes& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (uint8_t b : bytes) {
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xf]);
+  }
+  return hex;
+}
+
+Bytes FromHex(const std::string& hex) {
+  Bytes bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+int ConnectTo(uint16_t port);
+
+bool RecvAll(int fd, uint8_t* buf, size_t n) {
+  size_t got = 0;
+  while (got < n) {
+    ssize_t r = ::recv(fd, buf + got, n - got, 0);
+    if (r <= 0) return false;
+    got += static_cast<size_t>(r);
+  }
+  return true;
+}
+
+/// Reads one whole frame (48-byte header + payload) off a blocking socket;
+/// empty on EOF.
+Bytes ReadOneFrame(int fd) {
+  Bytes frame(kFrameHeaderBytes);
+  if (!RecvAll(fd, frame.data(), frame.size())) return {};
+  const uint32_t payload = frame[40] | frame[41] << 8 | frame[42] << 16 |
+                           static_cast<uint32_t>(frame[43]) << 24;
+  frame.resize(kFrameHeaderBytes + payload);
+  if (!RecvAll(fd, frame.data() + kFrameHeaderBytes, payload)) return {};
+  return frame;
+}
+
+/// Plays the server for one client connection: each Answer() reads one
+/// request frame and writes `reply` back with the request's id patched in.
+class FakePeer {
+ public:
+  FakePeer() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listen_fd_, 1), 0);
+    socklen_t len = sizeof(addr);
+    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~FakePeer() {
+    if (fd_ >= 0) ::close(fd_);
+    ::close(listen_fd_);
+  }
+  uint16_t port() const { return port_; }
+
+  Bytes Answer(Bytes reply) {
+    if (fd_ < 0) fd_ = ::accept(listen_fd_, nullptr, nullptr);
+    Bytes request = ReadOneFrame(fd_);
+    if (request.size() < kFrameHeaderBytes) return request;
+    std::copy(request.begin() + 8, request.begin() + 16, reply.begin() + 8);
+    EXPECT_EQ(::send(fd_, reply.data(), reply.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(reply.size()));
+    return request;
+  }
+
+ private:
+  int listen_fd_ = -1;
+  int fd_ = -1;
+  uint16_t port_ = 0;
+};
+
+struct FrozenOp {
+  const char* name;
+  const char* request;  ///< Request frame SocketTransport sends.
+  const char* reply;    ///< Success reply frame RpcServer writes back.
+};
+
+// Captured from the seven-op wire (kWireVersion 1). The put request carries
+// a trace context and the get request a background-class deadline of
+// 125 ms, so their headers pin the trace, criticality and budget fields.
+// The scrape reply is its header alone: its body is the hub's JSON, which
+// ScrapeReply() frames (status, length-prefixed string, delay).
+const FrozenOp kFrozenOps[] = {
+    {"ping",
+     "3157435401000000010000000000000000000000000000000000000000000000"
+     "00000000000000000000000000000000",
+     "3157435401000001010000000000000000000000000000000000000000000000"
+     "00000000000000000000000000000000"},
+    {"put_blob_batch",
+     "3157435401000100020000000000000011110000000000002222000000000000"
+     "333300000000000023000000000000000205646f632f610301020305646f632f"
+     "6204090807060205746f6b2f6105746f6b2f62",
+     "3157435401000101020000000000000011110000000000002222000000000000"
+     "3333000000000000220000000000000000000201000000000000000100000000"
+     "000000020101000000000000000000000000"},
+    {"get_blob",
+     "3157435401000208030000000000000000000000000000000000000000000000"
+     "00000000000000000600000048e8010005646f632f61",
+     "3157435401000209030000000000000000000000000000000000000000000000"
+     "00000000000000000a0000000000000000000301020300000000"},
+    {"get_snapshot",
+     "3157435401000300040000000000000000000000000000000000000000000000"
+     "00000000000000000000000000000000",
+     "3157435401000301040000000000000000000000000000000000000000000000"
+     "0000000000000000900000000000000000000200000000000000001000000000"
+     "0000000001000000000000000000000000000000000000000000000000000000"
+     "0000000002000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"},
+    {"get_at_snapshot",
+     "3157435401000400050000000000000000000000000000000000000000000000"
+     "0000000000000000900000000000000005646f632f6202000000000000000010"
+     "0000000000000000010000000000000000000000000000000000000000000000"
+     "0000000000000000020000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000",
+     "3157435401000401050000000000000000000000000000000000000000000000"
+     "00000000000000001b0000000000000000000409080706010000000000000002"
+     "0000000000000000000000"},
+    {"commit_txn",
+     "3157435401000500060000000000000000000000000000000000000000000000"
+     "0000000000000000b2000000000000000574786e2f3102000000000000000010"
+     "0000000000000000010000000000000000000000000000000000000000000000"
+     "0000000000000000020000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0105646f632f6101000000000000000105646f632f6103040404010000000000"
+     "0000",
+     "3157435401000501060000000000000000000000000000000000000000000000"
+     "0000000000000000220000000000000000000100030000000000000001020000"
+     "000000000000000000000000000000000000"},
+    {"report_telemetry",
+     "3157435401000600070000000000000000000000000000000000000000000000"
+     "00000000000000001600000000000000010663656c6c2d310100000000000000"
+     "010163030000",
+     "3157435401000601070000000000000000000000000000000000000000000000"
+     "0000000000000000100000000000000000000100010000000000000000000000"},
+    {"scrape_telemetry",
+     "3157435401000700080000000000000000000000000000000000000000000000"
+     "00000000000000000000000000000000",
+     "3157435401000701080000000000000000000000000000000000000000000000"
+     "00000000000000000000000000000000"},
+};
+
+// What the admission edge answers for ops 1-6 sent as background work it
+// refuses: pushback flag, retry-after hint 2500 µs, status-only body.
+const char* const kFrozenStatusOnly[] = {
+    "315743540100010b020000000000000011110000000000002222000000000000"
+    "33330000000000002e000000c4090000071e7365727665722061646d69737369"
+    "6f6e206c696d697420726561636865640000000000000000000000000000",
+    "315743540100020b030000000000000000000000000000000000000000000000"
+    "000000000000000025000000c4090000071e7365727665722061646d69737369"
+    "6f6e206c696d697420726561636865640000000000",
+    "315743540100030b040000000000000000000000000000000000000000000000"
+    "00000000000000002e000000c4090000071e7365727665722061646d69737369"
+    "6f6e206c696d697420726561636865640000000000000000000000000000",
+    "315743540100040b050000000000000000000000000000000000000000000000"
+    "000000000000000035000000c4090000071e7365727665722061646d69737369"
+    "6f6e206c696d6974207265616368656400000000000000000000000000000000"
+    "0000000000",
+    "315743540100050b060000000000000000000000000000000000000000000000"
+    "000000000000000038000000c4090000071e7365727665722061646d69737369"
+    "6f6e206c696d6974207265616368656400000000000000000000000000000000"
+    "0000000000000000",
+    "315743540100060b070000000000000000000000000000000000000000000000"
+    "00000000000000002e000000c4090000071e7365727665722061646d69737369"
+    "6f6e206c696d697420726561636865640000000000000000000000000000",
+};
+
+/// The frozen scrape reply frame around `json`.
+Bytes ScrapeReply(const std::string& json) {
+  Bytes frame = FromHex(kFrozenOps[7].reply);
+  Bytes body = {0x00, 0x00};  // Status kOk, empty message.
+  for (uint64_t n = json.size(); ; n >>= 7) {  // Varint string length.
+    body.push_back(static_cast<uint8_t>((n & 0x7f) | (n >= 0x80 ? 0x80 : 0)));
+    if (n < 0x80) break;
+  }
+  body.insert(body.end(), json.begin(), json.end());
+  body.insert(body.end(), 4, 0x00);  // delay_us.
+  for (int i = 0; i < 4; ++i) frame[40 + i] = (body.size() >> (8 * i)) & 0xff;
+  frame.insert(frame.end(), body.begin(), body.end());
+  return frame;
+}
+
+Bytes FrozenTelemetryFrame() {
+  obs::TelemetryFrame frame;
+  frame.source = "cell-1";
+  frame.seq = 1;
+  frame.delta.counters["c"] = 3;
+  return obs::EncodeTelemetryFrame(frame);
+}
+
+/// Background class, 125 ms budget, pinned so the header bytes are exact
+/// (an arm time in the future leaves the whole budget remaining).
+OverloadContext FrozenOverloadContext() {
+  OverloadContext ctx;
+  ctx.budget_us = 125'000;
+  ctx.armed_at_us = UINT64_MAX;
+  ctx.criticality = Criticality::kBackground;
+  return ctx;
+}
+
+TEST(WireCodecTest, FormatFreezeKnownBytes) {
+  SKIP_WITHOUT_LOOPBACK();
+  constexpr size_t kOps = sizeof(kFrozenOps) / sizeof(kFrozenOps[0]);
+  ASSERT_EQ(kOps, kRpcOpCount);
+
+  // 1. Requests and reply decoding, client side: a SocketTransport against
+  //    a peer that answers with the frozen success replies.
+  {
+    FakePeer peer;
+    RpcClientPool::Options pool_options;
+    pool_options.connections = 1;
+    SocketTransport transport("127.0.0.1", peer.port(), pool_options);
+    cloud::SnapshotDescriptor snap;
+    const std::vector<std::function<void()>> calls = {
+        [&] {
+          auto echo = transport.pool().Call(RpcOp::kPing, Bytes());
+          ASSERT_TRUE(echo.ok());
+          EXPECT_TRUE(echo->empty());
+        },
+        [&] {
+          obs::TraceContext trace;
+          trace.trace_id = 0x1111;
+          trace.span_id = 0x2222;
+          trace.parent_id = 0x3333;
+          obs::ScopedTraceContext scoped(trace);
+          auto put = transport.PutBlobBatch(
+              {{"doc/a", Bytes{1, 2, 3}}, {"doc/b", Bytes{9, 8, 7, 6}}},
+              {"tok/a", "tok/b"});
+          ASSERT_TRUE(put.status.ok()) << put.status.ToString();
+          EXPECT_EQ(put.versions, (std::vector<uint64_t>{1, 1}));
+          EXPECT_EQ(put.acked, (std::vector<uint8_t>{1, 1}));
+        },
+        [&] {
+          ScopedOverloadContext scope(FrozenOverloadContext());
+          uint32_t delay = 99;
+          auto got = transport.GetBlob("doc/a", &delay);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(got.value(), (Bytes{1, 2, 3}));
+          EXPECT_EQ(delay, 0u);
+        },
+        [&] {
+          auto got = transport.GetSnapshot(nullptr);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          snap = got.value();
+        },
+        [&] {
+          auto at = transport.GetAtSnapshot("doc/b", snap, nullptr);
+          ASSERT_TRUE(at.ok()) << at.status().ToString();
+          EXPECT_EQ(at->data, (Bytes{9, 8, 7, 6}));
+          EXPECT_EQ(at->version, 1u);
+        },
+        [&] {
+          cloud::TxnRequest txn;
+          txn.token = "txn/1";
+          txn.snapshot = snap;
+          txn.reads.push_back({"doc/a", 1});
+          txn.writes.push_back({"doc/a", Bytes{4, 4, 4}, 1});
+          auto out = transport.CommitTxn(txn);
+          ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+          EXPECT_TRUE(out.committed);
+          EXPECT_EQ(out.versions, (std::vector<uint64_t>{2}));
+        },
+        [&] {
+          auto out = transport.ReportTelemetry(FrozenTelemetryFrame(), nullptr);
+          ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+          EXPECT_TRUE(out.applied);
+          EXPECT_EQ(out.last_seq, 1u);
+        },
+        [&] {
+          auto json = transport.ScrapeTelemetry(nullptr);
+          ASSERT_TRUE(json.ok()) << json.status().ToString();
+          EXPECT_NE(json->find("\"cell-1\":1"), std::string::npos);
+        },
+    };
+    ASSERT_EQ(calls.size(), kOps);
+    for (size_t i = 0; i < kOps; ++i) {
+      std::thread caller(calls[i]);
+      Bytes request = peer.Answer(i == 7 ? ScrapeReply("{\"seqs\":{\"cell-1\":1}}")
+                                         : FromHex(kFrozenOps[i].reply));
+      caller.join();
+      EXPECT_EQ(ToHex(request), kFrozenOps[i].request) << kFrozenOps[i].name;
+    }
+  }
+
+  // 2. Request decoding and reply encoding, server side: the frozen
+  //    requests, sent raw to a fresh provider, get the frozen replies.
+  {
+    CloudInfrastructure cloud;
+    RpcServer server(&cloud, RpcServer::Options{});
+    ASSERT_TRUE(server.Start().ok());
+    int fd = ConnectTo(server.port());
+    ASSERT_GE(fd, 0);
+    for (const FrozenOp& op : kFrozenOps) {
+      Bytes request = FromHex(op.request);
+      ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+                static_cast<ssize_t>(request.size()));
+      const Bytes expected =
+          &op == &kFrozenOps[7] ? ScrapeReply(cloud.telemetry_hub().ScrapeJson())
+                                : FromHex(op.reply);
+      EXPECT_EQ(ToHex(ReadOneFrame(fd)), ToHex(expected)) << op.name;
+    }
+    ::close(fd);
+  }
+
+  // 3. Status-only replies: an admission edge that refuses all background
+  //    work answers ops 1-6 (sent as background) with pushback.
+  std::vector<Bytes> status_only;
+  {
+    CloudInfrastructure cloud;
+    RpcServer::Options options;
+    options.admission = true;
+    options.admission_config.background_fraction = 0.0;
+    options.admission_config.min_retry_after_us = 2500;
+    options.admission_config.max_retry_after_us = 2500;
+    RpcServer server(&cloud, options);
+    ASSERT_TRUE(server.Start().ok());
+    int fd = ConnectTo(server.port());
+    ASSERT_GE(fd, 0);
+    for (size_t i = 1; i <= 6; ++i) {
+      Bytes request = FromHex(kFrozenOps[i].request);
+      request[7] |= 0x08;  // Criticality bits 2-3: background.
+      ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+                static_cast<ssize_t>(request.size()));
+      status_only.push_back(ReadOneFrame(fd));
+      EXPECT_EQ(ToHex(status_only.back()), kFrozenStatusOnly[i - 1])
+          << kFrozenOps[i].name;
+    }
+    ::close(fd);
+  }
+
+  // 4. The client decodes every status-only reply as the shed status. The
+  //    scrape's status-only body is byte-identical to the get's (status,
+  //    empty string, zero delay), so its frame is the get's with op 7.
+  {
+    Bytes scrape = FromHex(kFrozenStatusOnly[1]);
+    scrape[6] = 7;
+    FakePeer peer;
+    RpcClientPool::Options pool_options;
+    pool_options.connections = 1;
+    SocketTransport transport("127.0.0.1", peer.port(), pool_options);
+    std::vector<Status> got(7);
+    const std::vector<std::function<void()>> calls = {
+        [&] { got[0] = transport.PutBlobBatch({{"x", Bytes{1}}}, {}).status; },
+        [&] { got[1] = transport.GetBlob("x", nullptr).status(); },
+        [&] { got[2] = transport.GetSnapshot(nullptr).status(); },
+        [&] {
+          got[3] = transport.GetAtSnapshot("x", {}, nullptr).status();
+        },
+        [&] { got[4] = transport.CommitTxn(cloud::TxnRequest{}).status; },
+        [&] {
+          got[5] = transport.ReportTelemetry(Bytes{1}, nullptr).status;
+        },
+        [&] { got[6] = transport.ScrapeTelemetry(nullptr).status(); },
+    };
+    for (size_t i = 0; i < calls.size(); ++i) {
+      std::thread caller(calls[i]);
+      peer.Answer(i < 6 ? FromHex(kFrozenStatusOnly[i]) : scrape);
+      caller.join();
+      EXPECT_EQ(got[i].code(), StatusCode::kResourceExhausted) << i;
+      EXPECT_EQ(got[i].message(), "server admission limit reached") << i;
+    }
   }
 }
 
@@ -560,7 +1135,7 @@ TEST_F(RpcSocketTest, MalformedFrameClosesConnectionCleanly) {
     ASSERT_GE(fd, 0);
     FrameHeader h;
     h.version = 99;
-    Bytes frame = EncodeFrameHeader(h);
+    Bytes frame = EncodeFrame(h, Bytes());
     EXPECT_TRUE(SendThenExpectEof(fd, frame));
     ::close(fd);
   }
@@ -570,10 +1145,7 @@ TEST_F(RpcSocketTest, MalformedFrameClosesConnectionCleanly) {
     ASSERT_GE(fd, 0);
     FrameHeader h;
     h.op = RpcOp::kCommitTxn;
-    h.payload_size = 4;
-    Bytes frame = EncodeFrameHeader(h);
-    Bytes junk = {0xff, 0xff, 0xff, 0xff};
-    frame.insert(frame.end(), junk.begin(), junk.end());
+    Bytes frame = EncodeFrame(h, Bytes{0xff, 0xff, 0xff, 0xff});
     EXPECT_TRUE(SendThenExpectEof(fd, frame));
     ::close(fd);
   }
