@@ -9,12 +9,15 @@
 //           latencies (mutex wait included) in a local obs::Histogram per
 //           run.
 //
-//   Part 2  BlobStore gets under write load. lock_free_reads=false makes
-//           readers take the shard stripe lock (pre-PR-8); true gives them
-//           the epoch-protected lock-free path. Same thread sweep; the
-//           read-latency histograms are local obs::Histogram instances
-//           (BlobStore itself is deliberately uninstrumented — it sits
-//           under CloudInfrastructure's cloud.* timers).
+//   Part 2  BlobStore gets under write load. The "striped" rows go through
+//           tc::testing::StripeLockedBlobStore, whose per-shard mutex is
+//           held around every Put and Get (the shape before the lock-free
+//           reads), so a reader queues behind the writer of its shard; the
+//           "lock-free" rows call the store directly: the epoch-protected
+//           lock-free path. Same thread sweep; the read-latency histograms
+//           are local obs::Histogram instances (BlobStore itself is
+//           deliberately uninstrumented — it sits under
+//           CloudInfrastructure's cloud.* timers).
 //
 //   Part 3  Epoch Enter/Exit micro-overhead: the fixed per-read cost the
 //           lock-free paths pay instead of a mutex acquire.
@@ -44,6 +47,7 @@
 #include "tc/storage/page_transform.h"
 #include "tc/sync/epoch.h"
 #include "tc/testing/serialized_log_store.h"
+#include "tc/testing/stripe_locked_blob_store.h"
 
 using namespace tc;  // NOLINT — benchmark brevity.
 using cloud::BlobStore;
@@ -122,9 +126,10 @@ RunStats RunLogStorePuts(bool serialize, int threads, int puts_per_thread) {
 
 // ---- Part 2: BlobStore get scaling under write load --------------------
 
-RunStats RunBlobGets(bool lock_free, int reader_threads,
+RunStats RunBlobGets(bool stripe_locked, int reader_threads,
                      int gets_per_thread) {
-  BlobStore store(/*shard_count=*/16, /*token_history=*/1 << 16, lock_free);
+  BlobStore store(/*shard_count=*/16, /*token_history=*/1 << 16);
+  tc::testing::StripeLockedBlobStore striped(&store);
   constexpr int kKeys = 64;
   for (int k = 0; k < kKeys; ++k) {
     store.Put("doc/" + std::to_string(k), Bytes(128, 0x5a));
@@ -133,11 +138,16 @@ RunStats RunBlobGets(bool lock_free, int reader_threads,
   // One writer churns all keys for the whole run: with stripe-locked reads
   // every Get on a hot shard queues behind it; lock-free reads never do.
   std::atomic<bool> stop{false};
-  std::thread writer([&store, &stop] {
+  std::thread writer([stripe_locked, &store, &striped, &stop] {
     Rng rng(9917);
     while (!stop.load(std::memory_order_acquire)) {
-      store.Put("doc/" + std::to_string(rng.NextBelow(kKeys)),
-                rng.NextBytes(64 + rng.NextBelow(128)));
+      std::string id = "doc/" + std::to_string(rng.NextBelow(kKeys));
+      Bytes data = rng.NextBytes(64 + rng.NextBelow(128));
+      if (stripe_locked) {
+        striped.Put(id, data);
+      } else {
+        store.Put(id, data);
+      }
     }
   });
 
@@ -146,12 +156,13 @@ RunStats RunBlobGets(bool lock_free, int reader_threads,
   std::vector<std::thread> readers;
   readers.reserve(reader_threads);
   for (int t = 0; t < reader_threads; ++t) {
-    readers.emplace_back([t, &store, &get_us, gets_per_thread] {
+    readers.emplace_back([t, stripe_locked, &store, &striped, &get_us,
+                          gets_per_thread] {
       Rng rng(3300 + t);
       for (int i = 0; i < gets_per_thread; ++i) {
         std::string id = "doc/" + std::to_string(rng.NextBelow(kKeys));
         obs::Stopwatch op;
-        auto got = store.Get(id);
+        auto got = stripe_locked ? striped.Get(id) : store.Get(id);
         get_us.RecordAlways(op.ElapsedUs());
         if (!got.ok()) {
           std::printf("  GET FAILED: %s\n", got.status().ToString().c_str());
@@ -217,8 +228,8 @@ int main(int argc, char** argv) {
   std::printf("  %-10s %7s %12s %8s %8s %8s\n", "mode", "threads", "gets/s",
               "p50", "p95", "p99");
   for (int threads : kThreadSweep) {
-    PrintRow("striped", threads, RunBlobGets(false, threads, kGets));
-    PrintRow("lock-free", threads, RunBlobGets(true, threads, kGets));
+    PrintRow("striped", threads, RunBlobGets(true, threads, kGets));
+    PrintRow("lock-free", threads, RunBlobGets(false, threads, kGets));
   }
 
   // ---- Part 3 ----

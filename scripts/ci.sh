@@ -31,6 +31,10 @@
 #      reproduced from its schedule print is not debuggable);
 #   7. check no generated build*/ tree is tracked or staged, and print the
 #      src/ line total (scripts/src_lines.sh; reports, gates nothing);
+#   7b. dead-code report (scripts/dead_code.sh): an -O0 section-GC build in
+#      build-deadcode/ (~2 min) lists the strong tc:: functions that no
+#      binary, or only test binaries, link; reports, gates nothing, and
+#      skips with the reason printed when nm is absent;
 #   8. run the obs export validator (quick bench run + trace JSON checks);
 #   9. build and self-test the repository benchmark (perfbench/): it
 #      compiles against the cell, transport and provider APIs, so a src/
@@ -68,6 +72,7 @@ build/tests/chaos_test \
 }
 scripts/check_tree_clean.sh
 scripts/src_lines.sh
+scripts/dead_code.sh
 scripts/validate_obs_export.sh
 if command -v python3 > /dev/null 2>&1; then
   echo "ci: benchmark self-test (perfbench build + output checks)"

@@ -440,72 +440,60 @@ Status TrustedCell::CatchUp() {
       channel_->AdvanceVirtualTime(config_.channel.breaker.open_cooldown_us);
     }
     const net::OutboxRecord& record = outbox_->pending().begin()->second;
+    // Each arm sends the record and names its writes, with the versions
+    // the provider acked them at; one drain step then finishes either.
+    std::vector<std::pair<const std::string*, const Bytes*>> writes;
+    std::vector<uint64_t> versions;
+    Status sent;
     if (record.is_txn) {
       // A journaled whole-transaction drains through CommitTxn under its
       // original token: blind last-writer-wins writes (the partition aged
       // the read set past any meaningful validation), answered from the
       // provider's token table if the pre-crash commit already applied —
-      // either way all writes land atomically, exactly once.
+      // either way all writes land atomically, exactly once. Blind writes
+      // never abort, so a refusal that is not transient is a real error.
       cloud::TxnRequest req;
       req.token = record.token;
       for (const net::OutboxTxnWrite& write : record.txn_writes) {
         req.writes.push_back(
             {write.blob_id, write.payload, cloud::kBaseVersionAny});
+        writes.emplace_back(&write.blob_id, &write.payload);
       }
       cloud::TxnOutcome outcome = channel_->CommitTxn(req);
-      if (!outcome.committed) {
-        if (outcome.status.IsTransient() ||
-            outcome.status.IsDeadlineExceeded()) {
-          stats_.catchup_drained += drained;
-          return Status::Unavailable(
-              "catch-up stalled with " + std::to_string(outbox_->size()) +
-              " pushes pending: " + outcome.status.ToString());
-        }
-        return outcome.status;  // Blind writes never abort; a real error.
-      }
-      if (outcome.versions.size() != record.txn_writes.size()) {
-        return Status::Internal("txn outcome/write-set size mismatch");
-      }
-      for (size_t i = 0; i < record.txn_writes.size(); ++i) {
-        auto echo = cloud_->GetBlobVersion(record.txn_writes[i].blob_id,
-                                           outcome.versions[i]);
-        if (!echo.ok() || *echo != record.txn_writes[i].payload) {
-          RecordIncident(IncidentType::kPayloadTampered,
-                         record.txn_writes[i].blob_id,
-                         "catch-up txn read-back mismatch at version " +
-                             std::to_string(outcome.versions[i]));
-          return Status::IntegrityViolation(
-              "catch-up read-back mismatch on " +
-              record.txn_writes[i].blob_id);
-        }
-      }
-      TC_RETURN_IF_ERROR(outbox_->MarkDone(record.seq));
-      metrics_.outbox_depth.Add(-1);
-      ++drained;
-      continue;
+      if (!outcome.committed) sent = outcome.status;
+      versions = std::move(outcome.versions);
+    } else {
+      writes.emplace_back(&record.blob_id, &record.payload);
+      auto pushed = channel_->Put(record.blob_id, record.payload,
+                                  &record.token);
+      sent = pushed.status();
+      if (pushed.ok()) versions.push_back(*pushed);
     }
-    auto pushed = channel_->Put(record.blob_id, record.payload,
-                                &record.token);
-    if (!pushed.ok()) {
-      if (pushed.status().IsTransient() ||
-          pushed.status().IsDeadlineExceeded()) {
+    if (!sent.ok()) {
+      if (sent.IsTransient() || sent.IsDeadlineExceeded()) {
         stats_.catchup_drained += drained;
         return Status::Unavailable(
             "catch-up stalled with " + std::to_string(outbox_->size()) +
-            " pushes pending: " + pushed.status().ToString());
+            " pushes pending: " + sent.ToString());
       }
-      return pushed.status();
+      return sent;
     }
-    // Read-back verification: the acked version must hold exactly the
+    if (versions.size() != writes.size()) {
+      return Status::Internal("txn outcome/write-set size mismatch");
+    }
+    // Read-back verification: each acked version must hold exactly the
     // bytes we sealed — a provider that acked without storing (or stored
     // something else) is caught here, not at some future fetch.
-    auto echo = cloud_->GetBlobVersion(record.blob_id, *pushed);
-    if (!echo.ok() || *echo != record.payload) {
-      RecordIncident(IncidentType::kPayloadTampered, record.blob_id,
-                     "catch-up read-back mismatch at version " +
-                         std::to_string(*pushed));
-      return Status::IntegrityViolation("catch-up read-back mismatch on " +
-                                        record.blob_id);
+    for (size_t i = 0; i < writes.size(); ++i) {
+      const std::string& blob_id = *writes[i].first;
+      auto echo = cloud_->GetBlobVersion(blob_id, versions[i]);
+      if (!echo.ok() || *echo != *writes[i].second) {
+        RecordIncident(IncidentType::kPayloadTampered, blob_id,
+                       "catch-up read-back mismatch at version " +
+                           std::to_string(versions[i]));
+        return Status::IntegrityViolation("catch-up read-back mismatch on " +
+                                          blob_id);
+      }
     }
     TC_RETURN_IF_ERROR(outbox_->MarkDone(record.seq));
     metrics_.outbox_depth.Add(-1);

@@ -4,10 +4,8 @@
 
 namespace tc::cloud {
 
-BlobStore::BlobStore(size_t shard_count, size_t token_history,
-                     bool lock_free_reads)
-    : token_history_(token_history == 0 ? 1 : token_history),
-      lock_free_reads_(lock_free_reads) {
+BlobStore::BlobStore(size_t shard_count, size_t token_history)
+    : token_history_(token_history == 0 ? 1 : token_history) {
   if (shard_count == 0) shard_count = 1;
   shards_.reserve(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
@@ -57,11 +55,6 @@ std::unique_lock<std::mutex> BlobStore::LockShard(const Shard& shard) const {
     lock.lock();
   }
   return lock;
-}
-
-std::unique_lock<std::mutex> BlobStore::ReadLock(const Shard& shard) const {
-  if (lock_free_reads_) return std::unique_lock<std::mutex>();
-  return LockShard(shard);
 }
 
 BlobStore::BlobRec* BlobStore::FindRec(const Shard& shard,
@@ -211,7 +204,6 @@ SnapshotDescriptor BlobStore::Snapshot() const {
 Result<SnapshotRead> BlobStore::GetAtSnapshot(
     const std::string& id, const SnapshotDescriptor& snap) const {
   const Shard& shard = *shards_[ShardIndex(id)];
-  auto lock = ReadLock(shard);
   sync::EpochGuard guard(epochs_);
   const BlobRec* rec = FindRec(shard, id);
   if (rec != nullptr) {
@@ -350,34 +342,36 @@ TxnOutcome BlobStore::CommitTxn(const TxnRequest& req) {
   return out;
 }
 
-Result<Bytes> BlobStore::Get(const std::string& id) const {
-  const Shard& shard = *shards_[ShardIndex(id)];
-  auto lock = ReadLock(shard);
-  sync::EpochGuard guard(epochs_);
-  const BlobRec* rec = FindRec(shard, id);
-  const VersionNode* node =
-      rec != nullptr ? rec->head.load(std::memory_order_acquire) : nullptr;
+const BlobStore::VersionNode* BlobStore::FirstPublished(
+    const VersionNode* node) {
   // Skip the (at most one) not-yet-published head: it is not "latest"
   // until its commit seq is in the snapshot horizon.
   while (node != nullptr && !node->published.load(std::memory_order_acquire)) {
     node = node->next;
   }
+  return node;
+}
+
+const BlobStore::VersionNode* BlobStore::LatestPublished(
+    const std::string& id) const {
+  const BlobRec* rec = FindRec(*shards_[ShardIndex(id)], id);
+  return rec != nullptr
+             ? FirstPublished(rec->head.load(std::memory_order_acquire))
+             : nullptr;
+}
+
+Result<Bytes> BlobStore::Get(const std::string& id) const {
+  sync::EpochGuard guard(epochs_);
+  const VersionNode* node = LatestPublished(id);
   if (node == nullptr) return Status::NotFound("no such blob: " + id);
   return node->data;
 }
 
 Result<Bytes> BlobStore::GetVersion(const std::string& id,
                                     uint64_t version) const {
-  const Shard& shard = *shards_[ShardIndex(id)];
-  auto lock = ReadLock(shard);
   sync::EpochGuard guard(epochs_);
-  const BlobRec* rec = FindRec(shard, id);
-  const VersionNode* node =
-      rec != nullptr ? rec->head.load(std::memory_order_acquire) : nullptr;
-  while (node != nullptr && !node->published.load(std::memory_order_acquire)) {
-    node = node->next;
-  }
-  for (; node != nullptr; node = node->next) {
+  for (const VersionNode* node = LatestPublished(id); node != nullptr;
+       node = node->next) {
     if (node->version == version) return node->data;
     if (node->version < version) break;  // Chain descends; not present.
   }
@@ -385,30 +379,15 @@ Result<Bytes> BlobStore::GetVersion(const std::string& id,
 }
 
 Result<uint64_t> BlobStore::LatestVersion(const std::string& id) const {
-  const Shard& shard = *shards_[ShardIndex(id)];
-  auto lock = ReadLock(shard);
   sync::EpochGuard guard(epochs_);
-  const BlobRec* rec = FindRec(shard, id);
-  const VersionNode* node =
-      rec != nullptr ? rec->head.load(std::memory_order_acquire) : nullptr;
-  while (node != nullptr && !node->published.load(std::memory_order_acquire)) {
-    node = node->next;
-  }
+  const VersionNode* node = LatestPublished(id);
   if (node == nullptr) return Status::NotFound("no such blob: " + id);
   return node->version;
 }
 
 bool BlobStore::Exists(const std::string& id) const {
-  const Shard& shard = *shards_[ShardIndex(id)];
-  auto lock = ReadLock(shard);
   sync::EpochGuard guard(epochs_);
-  const BlobRec* rec = FindRec(shard, id);
-  const VersionNode* node =
-      rec != nullptr ? rec->head.load(std::memory_order_acquire) : nullptr;
-  while (node != nullptr && !node->published.load(std::memory_order_acquire)) {
-    node = node->next;
-  }
-  return node != nullptr;
+  return LatestPublished(id) != nullptr;
 }
 
 Status BlobStore::Delete(const std::string& id) {
@@ -434,18 +413,15 @@ std::vector<std::string> BlobStore::List(const std::string& prefix) const {
   std::vector<std::string> out;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
-    auto lock = ReadLock(shard);
     sync::EpochGuard guard(epochs_);
     for (const std::atomic<BlobRec*>& bucket : shard.buckets) {
       for (const BlobRec* rec = bucket.load(std::memory_order_acquire);
            rec != nullptr; rec = rec->next) {
         if (rec->id.compare(0, prefix.size(), prefix) != 0) continue;
-        const VersionNode* node = rec->head.load(std::memory_order_acquire);
-        while (node != nullptr &&
-               !node->published.load(std::memory_order_acquire)) {
-          node = node->next;
+        if (FirstPublished(rec->head.load(std::memory_order_acquire)) !=
+            nullptr) {
+          out.push_back(rec->id);
         }
-        if (node != nullptr) out.push_back(rec->id);
       }
     }
   }
@@ -456,7 +432,6 @@ std::vector<std::string> BlobStore::List(const std::string& prefix) const {
 size_t BlobStore::blob_count() const {
   size_t count = 0;
   for (const auto& shard_ptr : shards_) {
-    auto lock = ReadLock(*shard_ptr);
     count += shard_ptr->blob_count.load(std::memory_order_relaxed);
   }
   return count;
@@ -465,7 +440,6 @@ size_t BlobStore::blob_count() const {
 uint64_t BlobStore::total_bytes() const {
   uint64_t bytes = 0;
   for (const auto& shard_ptr : shards_) {
-    auto lock = ReadLock(*shard_ptr);
     bytes += shard_ptr->total_bytes.load(std::memory_order_relaxed);
   }
   return bytes;
@@ -475,7 +449,6 @@ uint64_t BlobStore::AuditTotalBytes() const {
   uint64_t bytes = 0;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
-    auto lock = ReadLock(shard);
     sync::EpochGuard guard(epochs_);
     for (const std::atomic<BlobRec*>& bucket : shard.buckets) {
       for (const BlobRec* rec = bucket.load(std::memory_order_acquire);

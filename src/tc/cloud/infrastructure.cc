@@ -154,10 +154,6 @@ void CloudInfrastructure::set_adversary(const AdversaryConfig& config) {
   adversary_ = config;
 }
 
-AdversaryConfig CloudInfrastructure::adversary_config() const {
-  return SnapshotAdversary();
-}
-
 void CloudInfrastructure::ChargeLatency() const {
   if (options_.op_latency_us == 0) return;
   std::this_thread::sleep_for(std::chrono::microseconds(options_.op_latency_us));

@@ -264,7 +264,6 @@ class CloudInfrastructure {
   /// Consistent snapshots of the atomic counters.
   CloudStats stats() const;
   AdversaryStats adversary_stats() const;
-  AdversaryConfig adversary_config() const;
   /// Swaps the adversary's behaviour. Does NOT reseed the per-shard RNG
   /// streams (matching the single-RNG behaviour this class always had), so
   /// flipping probabilities mid-run keeps the run reproducible.

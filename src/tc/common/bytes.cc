@@ -60,9 +60,4 @@ void Append(Bytes& dst, const Bytes& src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 
-void XorInto(Bytes& dst, const Bytes& src) {
-  TC_CHECK(dst.size() == src.size());
-  for (size_t i = 0; i < dst.size(); ++i) dst[i] ^= src[i];
-}
-
 }  // namespace tc

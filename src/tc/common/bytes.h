@@ -35,9 +35,6 @@ bool ConstantTimeEqual(const Bytes& a, const Bytes& b);
 /// Appends `src` to `dst`.
 void Append(Bytes& dst, const Bytes& src);
 
-/// XORs `src` into `dst` (dst[i] ^= src[i]); sizes must match.
-void XorInto(Bytes& dst, const Bytes& src);
-
 }  // namespace tc
 
 #endif  // TC_COMMON_BYTES_H_

@@ -1,7 +1,6 @@
 #include "tc/common/clock.h"
 
 #include <cstdio>
-#include <ctime>
 
 namespace tc {
 namespace {
@@ -44,10 +43,6 @@ int64_t FloorDiv(int64_t a, int64_t b) {
 }
 
 }  // namespace
-
-Timestamp SystemClock::Now() const {
-  return static_cast<Timestamp>(std::time(nullptr));
-}
 
 Timestamp WindowStart(Timestamp t, Timestamp window_seconds) {
   return FloorDiv(t, window_seconds) * window_seconds;

@@ -34,13 +34,6 @@ class SimulatedClock : public Clock {
   Timestamp now_;
 };
 
-/// Wall-clock time (only used by the top-level binaries, never by library
-/// logic, so every run stays reproducible).
-class SystemClock : public Clock {
- public:
-  Timestamp Now() const override;
-};
-
 /// Start of the aggregation window of length `window_seconds` containing `t`.
 /// Windows are aligned to the epoch, matching how the gateway cell buckets
 /// the 1 Hz Linky feed into 15-minute / daily aggregates.

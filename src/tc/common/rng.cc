@@ -58,10 +58,6 @@ double Rng::NextDouble() {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
-double Rng::NextDouble(double lo, double hi) {
-  return lo + (hi - lo) * NextDouble();
-}
-
 double Rng::NextGaussian() {
   if (has_spare_gaussian_) {
     has_spare_gaussian_ = false;

@@ -27,9 +27,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double NextDouble();
 
-  /// Uniform double in [lo, hi).
-  double NextDouble(double lo, double hi);
-
   /// Standard normal via Box-Muller.
   double NextGaussian();
 

@@ -88,13 +88,6 @@ Status Database::DropTable(const std::string& name) {
   return Status::OK();
 }
 
-std::vector<std::string> Database::ListTables() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) names.push_back(name);
-  return names;
-}
-
 Status Database::Flush() {
   TC_RETURN_IF_ERROR(timeseries_.FlushAll());
   return store_->Flush();

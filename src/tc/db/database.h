@@ -39,7 +39,6 @@ class Database {
   Result<Table*> GetTable(const std::string& name);
   /// Drops the table's rows and catalog entry.
   Status DropTable(const std::string& name);
-  std::vector<std::string> ListTables() const;
 
   TimeSeriesStore& timeseries() { return timeseries_; }
   KeywordIndex& keywords() { return keywords_; }

@@ -165,13 +165,6 @@ uint64_t TimeSeriesStore::Count(const std::string& series) const {
   return it->second.persisted_count + it->second.buffer.size();
 }
 
-std::vector<std::string> TimeSeriesStore::ListSeries() const {
-  std::vector<std::string> names;
-  names.reserve(series_.size());
-  for (const auto& [name, state] : series_) names.push_back(name);
-  return names;
-}
-
 Status TimeSeriesStore::RestoreChunk(const std::string& key,
                                      const Bytes& data) {
   // key = "s/<series>/<16-hex chunk>".

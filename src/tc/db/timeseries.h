@@ -67,8 +67,6 @@ class TimeSeriesStore {
   /// Total number of persisted + buffered readings of a series.
   uint64_t Count(const std::string& series) const;
 
-  std::vector<std::string> ListSeries() const;
-
   /// Called by Database recovery with each persisted chunk key; reloads the
   /// chunk directory entry.
   Status RestoreChunk(const std::string& key, const Bytes& data);

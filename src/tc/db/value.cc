@@ -104,29 +104,6 @@ Result<Value> Value::Decode(BinaryReader& r) {
   return Status::Corruption("unknown value type tag");
 }
 
-std::string Value::ToString() const {
-  switch (type()) {
-    case ValueType::kNull:
-      return "null";
-    case ValueType::kBool:
-      return AsBool() ? "true" : "false";
-    case ValueType::kInt64:
-      return std::to_string(AsInt64());
-    case ValueType::kDouble: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", AsDouble());
-      return buf;
-    }
-    case ValueType::kString:
-      return AsString();
-    case ValueType::kBytes:
-      return "0x" + HexEncode(AsBytes());
-    case ValueType::kTimestamp:
-      return FormatTimestamp(AsTimestamp());
-  }
-  return "?";
-}
-
 Result<int> Value::Compare(const Value& a, const Value& b) {
   // Numeric types compare across Int64/Double.
   auto numeric = [](const Value& v) {

@@ -57,9 +57,6 @@ class Value {
   void Encode(BinaryWriter& w) const;
   static Result<Value> Decode(BinaryReader& r);
 
-  /// Human-readable rendering for reports and examples.
-  std::string ToString() const;
-
   friend bool operator==(const Value& a, const Value& b) {
     return a.repr_ == b.repr_;
   }

@@ -27,8 +27,6 @@ void SetEnabled(bool enabled) {
   detail::g_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-bool Enabled() { return detail::g_enabled.load(std::memory_order_relaxed); }
-
 // ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ namespace tc::obs {
 /// compiled out" baseline the overhead micro-bench compares against.
 /// Enabled by default.
 void SetEnabled(bool enabled);
-bool Enabled();
 
 namespace detail {
 extern std::atomic<bool> g_enabled;

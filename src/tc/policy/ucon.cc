@@ -81,50 +81,6 @@ Result<int> ComparePolicyValues(const PolicyValue& a, const PolicyValue& b) {
 
 }  // namespace
 
-std::string_view RightName(Right right) {
-  switch (right) {
-    case Right::kRead:
-      return "read";
-    case Right::kWrite:
-      return "write";
-    case Right::kShare:
-      return "share";
-    case Right::kAggregate:
-      return "aggregate";
-    case Right::kExport:
-      return "export";
-  }
-  return "?";
-}
-
-std::string_view ObligationName(ObligationType obligation) {
-  switch (obligation) {
-    case ObligationType::kLogAccess:
-      return "log-access";
-    case ObligationType::kNotifyOwner:
-      return "notify-owner";
-    case ObligationType::kDeleteAfterUse:
-      return "delete-after-use";
-  }
-  return "?";
-}
-
-std::string PolicyValueToString(const PolicyValue& v) {
-  switch (v.index()) {
-    case 0:
-      return std::get<bool>(v) ? "true" : "false";
-    case 1:
-      return std::to_string(std::get<int64_t>(v));
-    case 2: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", std::get<double>(v));
-      return buf;
-    }
-    default:
-      return std::get<std::string>(v);
-  }
-}
-
 void AttributeCondition::Encode(BinaryWriter& w) const {
   w.PutString(attribute);
   w.PutU8(static_cast<uint8_t>(op));

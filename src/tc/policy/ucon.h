@@ -22,12 +22,8 @@ enum class Right : uint8_t {
   kExport = 5,     ///< Externalize outside the trusted-cell platform.
 };
 
-std::string_view RightName(Right right);
-
 /// Attribute values used in conditions (subject attributes, environment).
 using PolicyValue = std::variant<bool, int64_t, double, std::string>;
-
-std::string PolicyValueToString(const PolicyValue& v);
 
 /// Attribute bag describing a subject or the evaluation environment
 /// (location, group membership, credential claims...).
@@ -55,8 +51,6 @@ enum class ObligationType : uint8_t {
   kNotifyOwner = 2,  ///< Send an access notification to the data owner.
   kDeleteAfterUse = 3,
 };
-
-std::string_view ObligationName(ObligationType obligation);
 
 /// One usage rule of the UCON-ABC model: Authorizations (subjects),
 /// oBligations, Conditions, plus mutability (a usage counter).

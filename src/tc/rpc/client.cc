@@ -44,7 +44,6 @@ RpcClientPool::RpcClientPool(const Options& options) : options_(options) {
   size_t n = options_.connections == 0 ? 1 : options_.connections;
   conns_.reserve(n);
   for (size_t i = 0; i < n; ++i) conns_.push_back(std::make_unique<Conn>());
-  if (options_.warmup) Warmup();
   if (options_.reconnect_interval_ms > 0) {
     maintenance_ = std::thread([this] { MaintenanceLoop(); });
   }

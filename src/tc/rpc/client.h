@@ -45,7 +45,7 @@ namespace tc::rpc {
 /// surfacing as a burst of spurious kDeadlineExceeded/kUnavailable per
 /// restart. Two opt-in remedies:
 ///   - Warmup(): connect + kPing health-check every pooled connection
-///     eagerly (run from the constructor when Options::warmup is set).
+///     eagerly.
 ///   - A maintenance thread (Options::reconnect_interval_ms > 0) that
 ///     periodically finds dead connections and restores them with the
 ///     same connect + health-check, off every caller's critical path.
@@ -75,8 +75,6 @@ class RpcClientPool {
     /// Pool-wide outstanding-request cap; at the cap Call fails fast with
     /// kUnavailable (retry-or-defer upstream), never queues unboundedly.
     size_t max_in_flight = 256;
-    /// Eagerly connect + health-check every connection at construction.
-    bool warmup = false;
     /// When > 0, a background maintenance thread re-establishes dead
     /// connections (connect + kPing) every this-many milliseconds, so a
     /// provider restart does not cost callers a cold connect.

@@ -211,7 +211,10 @@ void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
       break;  // EOF, reset, or fatal error: peer (or shutdown) ended it.
     }
     metrics_.bytes_in.Increment(kFrameHeaderBytes + payload.size());
+    // The one count of requests: every frame whose header validated,
+    // whether it is then refused, shed or dispatched.
     requests_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.requests.Increment();
     // Effective criticality: wire bits, except ping and telemetry
     // scrapes are always critical — client pools must keep their
     // health probes flowing and operators must keep seeing a saturated
@@ -327,7 +330,6 @@ void RpcServer::Dispatch(std::shared_ptr<Connection> conn, FrameHeader header,
     h.budget_us = retry_after_us;
     if (retry_after_us != 0) h.flags |= kFlagPushback;
     WriteFrames(*conn, EncodeFrame(h, response.value()));
-    metrics_.requests.Increment();
   }
   uint64_t elapsed = timer.ElapsedUs();
   metrics_.dispatch_us.Record(elapsed);

@@ -63,7 +63,9 @@ namespace tc::rpc {
 ///
 /// Metrics (tc::obs global registry):
 ///   rpc.server.accepted        counter  connections accepted
-///   rpc.server.requests        counter  frames dispatched
+///   rpc.server.requests        counter  frames whose header validated,
+///                                       refused and shed ones included
+///                                       (Stats::requests, process-wide)
 ///   rpc.server.malformed       counter  frames rejected (conn closed)
 ///   rpc.server.bytes_in/out    counter  payload+header bytes
 ///   rpc.server.in_flight       gauge    requests inside the pool
@@ -93,7 +95,7 @@ class RpcServer {
 
   struct Stats {
     uint64_t accepted = 0;
-    uint64_t requests = 0;
+    uint64_t requests = 0;  ///< Validated frames, as rpc.server.requests.
     uint64_t malformed = 0;   ///< Bad frames (each closed its connection).
     uint64_t version_mismatch = 0;
     uint64_t admission_rejected = 0;  ///< Refused at the socket edge.

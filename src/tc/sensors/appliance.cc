@@ -5,32 +5,6 @@
 
 namespace tc::sensors {
 
-std::string_view ApplianceTypeName(ApplianceType type) {
-  switch (type) {
-    case ApplianceType::kFridge:
-      return "fridge";
-    case ApplianceType::kKettle:
-      return "kettle";
-    case ApplianceType::kOven:
-      return "oven";
-    case ApplianceType::kWashingMachine:
-      return "washing-machine";
-    case ApplianceType::kDishwasher:
-      return "dishwasher";
-    case ApplianceType::kHeatPump:
-      return "heat-pump";
-    case ApplianceType::kEvCharger:
-      return "ev-charger";
-    case ApplianceType::kTelevision:
-      return "television";
-    case ApplianceType::kLighting:
-      return "lighting";
-    case ApplianceType::kBaseLoad:
-      return "base-load";
-  }
-  return "?";
-}
-
 int NominalWatts(ApplianceType type) {
   switch (type) {
     case ApplianceType::kFridge:

@@ -24,8 +24,6 @@ enum class ApplianceType {
   kBaseLoad,        ///< Standby/network gear, always on.
 };
 
-std::string_view ApplianceTypeName(ApplianceType type);
-
 /// Nominal steady-state active power draw of the type's main phase, in
 /// watts. This is the feature the NILM attack matches against.
 int NominalWatts(ApplianceType type);

@@ -12,9 +12,6 @@ namespace {
 std::atomic<uint32_t>* HeaderAt(uint8_t* data, uint32_t offset) {
   return reinterpret_cast<std::atomic<uint32_t>*>(data + offset);
 }
-const std::atomic<uint32_t>* HeaderAt(const uint8_t* data, uint32_t offset) {
-  return reinterpret_cast<const std::atomic<uint32_t>*>(data + offset);
-}
 
 static_assert(sizeof(std::atomic<uint32_t>) == 4,
               "entry headers must be exactly 4 bytes");
@@ -58,10 +55,6 @@ void AppendLog::DeletePage(void* opaque) {
   Page* p = static_cast<Page*>(opaque);
   delete[] p->data;
   delete p;
-}
-
-uint32_t AppendLog::PageLimit(const Page* p) {
-  return std::min(p->tail.load(std::memory_order_acquire), p->capacity);
 }
 
 AppendLog::Entry AppendLog::Append(const uint8_t* data, uint32_t size) {

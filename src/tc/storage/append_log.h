@@ -123,8 +123,6 @@ class AppendLog {
  private:
   static Page* NewPage(uint32_t capacity);
   static void DeletePage(void* p);
-  /// Effective data end of a (possibly overflowed) page.
-  static uint32_t PageLimit(const Page* p);
 
   sync::EpochManager* epochs_;
   const uint32_t page_capacity_;

@@ -1,7 +1,6 @@
 #include "tc/storage/log_store.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <thread>
 
@@ -442,12 +441,6 @@ bool LogStore::index_complete() const {
   sync::EpochGuard guard(epochs_);
   return index_.load(std::memory_order_acquire)
       ->complete.load(std::memory_order_acquire);
-}
-
-size_t LogStore::index_ram_bytes() const {
-  sync::EpochGuard guard(epochs_);
-  return index_.load(std::memory_order_acquire)
-      ->ram_bytes.load(std::memory_order_acquire);
 }
 
 // ---------------------------------------------------------------------------
@@ -908,23 +901,6 @@ Status LogStore::CompactAll() {
                               /*io_locked=*/true));
   }
   return FlushLocked();
-}
-
-void LogStore::DebugDump() const {
-  std::fprintf(stderr,
-               "LogStore: free=%zu active=%zu(next_page=%zu) "
-               "buffered_bytes=%llu complete=%d\n",
-               free_blocks_.size(), has_active_block_ ? active_block_ : 999,
-               next_page_in_block_,
-               static_cast<unsigned long long>(buffer_.unconsumed_bytes()),
-               index_complete() ? 1 : 0);
-  for (size_t b = 0; b < block_used_.size(); ++b) {
-    if (block_used_[b]) {
-      std::fprintf(stderr, "  block %zu: records=%u dead=%u\n", b,
-                   block_records_[b],
-                   block_dead_[b].load(std::memory_order_relaxed));
-    }
-  }
 }
 
 }  // namespace tc::storage

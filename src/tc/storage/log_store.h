@@ -156,7 +156,6 @@ class LogStore {
   /// True while the index still covers every key (RAM budget not yet
   /// exceeded).
   bool index_complete() const;
-  size_t index_ram_bytes() const;
   const LogStoreStats& stats() const { return stats_; }
   FlashDevice* device() { return device_; }
 
@@ -165,9 +164,6 @@ class LogStore {
 
   /// Largest value size a single record can hold.
   size_t MaxValueSize() const;
-
-  /// Prints block occupancy/dead counts to stderr (debugging aid).
-  void DebugDump() const;
 
  private:
   /// Handles into the global registry, resolved once at construction; the

@@ -52,8 +52,4 @@ const DeviceProfile& DeviceProfile::Get(DeviceClass device_class) {
   return kToken;
 }
 
-std::string DeviceClassName(DeviceClass device_class) {
-  return DeviceProfile::Get(device_class).name;
-}
-
 }  // namespace tc::tee

@@ -50,9 +50,6 @@ struct DeviceProfile {
   static const DeviceProfile& Get(DeviceClass device_class);
 };
 
-/// Human-readable class name ("secure-token", ...).
-std::string DeviceClassName(DeviceClass device_class);
-
 }  // namespace tc::tee
 
 #endif  // TC_TEE_DEVICE_PROFILE_H_

@@ -50,13 +50,6 @@ Status KeyStore::DestroyKey(const std::string& name) {
   return Status::OK();
 }
 
-std::vector<std::string> KeyStore::ListKeyNames() const {
-  std::vector<std::string> names;
-  names.reserve(keys_.size());
-  for (const auto& [name, material] : keys_) names.push_back(name);
-  return names;
-}
-
 Result<Bytes> KeyStore::GetMaterial(const std::string& name) const {
   auto it = keys_.find(name);
   if (it == keys_.end()) {

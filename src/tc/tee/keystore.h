@@ -44,7 +44,6 @@ class KeyStore {
 
   bool HasKey(const std::string& name) const;
   Status DestroyKey(const std::string& name);
-  std::vector<std::string> ListKeyNames() const;
   size_t size() const { return keys_.size(); }
 
   /// Models a successful physical attack: every key leaves the enclave.

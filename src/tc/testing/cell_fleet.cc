@@ -1,4 +1,4 @@
-#include "tc/fleet/cell_fleet.h"
+#include "tc/testing/cell_fleet.h"
 
 #include <utility>
 
@@ -6,7 +6,7 @@
 #include "tc/obs/trace.h"
 #include "tc/policy/sticky_policy.h"
 
-namespace tc::fleet {
+namespace tc::testing {
 namespace {
 
 std::string FleetCellId(size_t index) {
@@ -89,9 +89,9 @@ Result<CellFleetReport> CellFleet::PutBatch() {
                             std::to_string(options_.cells) + " cells");
   report.trace_id = batch_span.context().trace_id;
 
-  WorkerPool::Options pool_options;
+  fleet::WorkerPool::Options pool_options;
   pool_options.threads = options_.threads;
-  WorkerPool pool(pool_options);
+  fleet::WorkerPool pool(pool_options);
   for (size_t i = 0; i < options_.cells; ++i) {
     bool accepted = pool.Submit([this, i, &report, &stored, &fetched] {
       RunCell(i, &report.cell_status[i], &stored[i], &fetched[i]);
@@ -117,4 +117,4 @@ Result<CellFleetReport> CellFleet::PutBatch() {
   return report;
 }
 
-}  // namespace tc::fleet
+}  // namespace tc::testing

@@ -1,5 +1,5 @@
-#ifndef TC_FLEET_CELL_FLEET_H_
-#define TC_FLEET_CELL_FLEET_H_
+#ifndef TC_TESTING_CELL_FLEET_H_
+#define TC_TESTING_CELL_FLEET_H_
 
 #include <cstdint>
 #include <memory>
@@ -13,7 +13,7 @@
 #include "tc/common/result.h"
 #include "tc/fleet/worker_pool.h"
 
-namespace tc::fleet {
+namespace tc::testing {
 
 /// Workload knobs for a full-stack fleet batch: K *real* TrustedCells
 /// (TEE + encrypted store + database + policy), each storing and
@@ -88,6 +88,6 @@ class CellFleet {
   std::vector<std::unique_ptr<cell::TrustedCell>> cells_;
 };
 
-}  // namespace tc::fleet
+}  // namespace tc::testing
 
-#endif  // TC_FLEET_CELL_FLEET_H_
+#endif  // TC_TESTING_CELL_FLEET_H_

@@ -1,11 +1,11 @@
-#include "tc/rpc/wire_harness.h"
+#include "tc/testing/wire_harness.h"
 
 #include <cstdlib>
 #include <cstring>
 
 #include "tc/common/macros.h"
 
-namespace tc::rpc {
+namespace tc::testing {
 
 bool WireHarness::SocketRequested() {
   const char* v = std::getenv("TC_TRANSPORT");
@@ -14,7 +14,7 @@ bool WireHarness::SocketRequested() {
 
 const char* WireHarness::SkipReason() {
   if (!SocketRequested()) return nullptr;
-  if (!RpcServer::LoopbackAvailable()) {
+  if (!rpc::RpcServer::LoopbackAvailable()) {
     return "TC_TRANSPORT=socket requested but loopback TCP sockets are "
            "unavailable in this environment";
   }
@@ -23,18 +23,17 @@ const char* WireHarness::SkipReason() {
 
 WireHarness::WireHarness(cloud::CloudInfrastructure* cloud,
                          const Options& options) {
-  if (!SocketRequested() || !RpcServer::LoopbackAvailable()) return;
-  RpcServer::Options server_options;
+  if (!SocketRequested() || !rpc::RpcServer::LoopbackAvailable()) return;
+  rpc::RpcServer::Options server_options;
   server_options.worker_threads = options.server_threads;
-  server_ = std::make_unique<RpcServer>(cloud, server_options);
+  server_ = std::make_unique<rpc::RpcServer>(cloud, server_options);
   Status started = server_->Start();
   TC_CHECK(started.ok());  // LoopbackAvailable() was probed above.
-  RpcClientPool::Options pool_options;
+  rpc::RpcClientPool::Options pool_options;
   pool_options.connections = options.client_connections;
   pool_options.request_timeout_ms = options.request_timeout_ms;
-  transport_ = std::make_unique<SocketTransport>("127.0.0.1",
-                                                 server_->port(),
-                                                 pool_options);
+  transport_ = std::make_unique<rpc::SocketTransport>(
+      "127.0.0.1", server_->port(), pool_options);
 }
 
 WireHarness::~WireHarness() {
@@ -45,4 +44,4 @@ WireHarness::~WireHarness() {
 
 net::CloudTransport* WireHarness::transport() { return transport_.get(); }
 
-}  // namespace tc::rpc
+}  // namespace tc::testing

@@ -1,5 +1,5 @@
-#ifndef TC_RPC_WIRE_HARNESS_H_
-#define TC_RPC_WIRE_HARNESS_H_
+#ifndef TC_TESTING_WIRE_HARNESS_H_
+#define TC_TESTING_WIRE_HARNESS_H_
 
 #include <memory>
 
@@ -8,7 +8,7 @@
 #include "tc/rpc/server.h"
 #include "tc/rpc/socket_transport.h"
 
-namespace tc::rpc {
+namespace tc::testing {
 
 /// Per-fixture switch that reruns an existing test suite over real
 /// loopback sockets.
@@ -17,7 +17,7 @@ namespace tc::rpc {
 /// down first):
 ///
 ///   cloud::CloudInfrastructure cloud(opts);
-///   rpc::WireHarness wire(&cloud);
+///   tc::testing::WireHarness wire(&cloud);
 ///   options.transport = wire.transport();   // nullptr => in-process
 ///
 /// When TC_TRANSPORT=socket is set in the environment (the *_wire ctest
@@ -61,13 +61,13 @@ class WireHarness {
   /// run here (no loopback). Tests GTEST_SKIP() with it.
   static const char* SkipReason();
 
-  RpcServer* server() { return server_.get(); }
+  rpc::RpcServer* server() { return server_.get(); }
 
  private:
-  std::unique_ptr<RpcServer> server_;
-  std::unique_ptr<SocketTransport> transport_;
+  std::unique_ptr<rpc::RpcServer> server_;
+  std::unique_ptr<rpc::SocketTransport> transport_;
 };
 
-}  // namespace tc::rpc
+}  // namespace tc::testing
 
-#endif  // TC_RPC_WIRE_HARNESS_H_
+#endif  // TC_TESTING_WIRE_HARNESS_H_

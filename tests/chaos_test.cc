@@ -24,8 +24,8 @@
 #include "tc/cloud/infrastructure.h"
 #include "tc/common/clock.h"
 #include "tc/fleet/fleet.h"
-#include "tc/rpc/wire_harness.h"
 #include "tc/testing/history_checker.h"
+#include "tc/testing/wire_harness.h"
 
 namespace tc {
 namespace {
@@ -44,7 +44,7 @@ using fleet::FleetReport;
 // the sandbox forbids loopback sockets.
 #define SKIP_IF_WIRE_LEG_IMPOSSIBLE()                           \
   do {                                                          \
-    if (const char* reason = rpc::WireHarness::SkipReason()) {  \
+    if (const char* reason = tc::testing::WireHarness::SkipReason()) {  \
       GTEST_SKIP() << reason;                                   \
     }                                                           \
   } while (false)
@@ -110,7 +110,7 @@ TEST(ChaosTest, FaultRateSweepHoldsInvariants) {
       config.throttle_prob = rate / 10;
       NetworkFaultInjector injector(config);
       cloud.set_fault_injector(&injector);
-      rpc::WireHarness wire(&cloud);
+      tc::testing::WireHarness wire(&cloud);
 
       FleetOptions options = ChaosFleet();
       options.seed = seed;
@@ -145,7 +145,7 @@ TEST(ChaosTest, TxnSweepIsSerializableUnderFaults) {
       config.delay_prob = rate;
       NetworkFaultInjector injector(config);
       cloud.set_fault_injector(&injector);
-      rpc::WireHarness wire(&cloud);
+      tc::testing::WireHarness wire(&cloud);
 
       tc::testing::HistoryChecker checker;
       FleetOptions options = ChaosFleet();
@@ -201,7 +201,7 @@ TEST(ChaosTest, ForcedOutageDefersThenConverges) {
   NetworkFaultConfig config = NetworkFaultConfig::Lossy(0.05, 77);
   NetworkFaultInjector injector(config);
   cloud.set_fault_injector(&injector);
-  rpc::WireHarness wire(&cloud);
+  tc::testing::WireHarness wire(&cloud);
 
   FleetOptions options = ChaosFleet();
   options.cells = 8;  // Outage heal is an all-cells barrier: cells<=threads.
@@ -238,7 +238,7 @@ TEST(ChaosTest, ChaosSeedReproducesFromPrintedSchedule) {
   CloudInfrastructure original_cloud;
   NetworkFaultInjector original(config);
   original_cloud.set_fault_injector(&original);
-  rpc::WireHarness original_wire(&original_cloud);
+  tc::testing::WireHarness original_wire(&original_cloud);
   options.transport = original_wire.transport();
   fleet::FleetRunner original_runner(&original_cloud, options);
   auto original_report = original_runner.Run();
@@ -249,7 +249,7 @@ TEST(ChaosTest, ChaosSeedReproducesFromPrintedSchedule) {
   auto replay =
       NetworkFaultInjector::FromSchedule(original.Schedule(), config.seed);
   replay_cloud.set_fault_injector(replay.get());
-  rpc::WireHarness replay_wire(&replay_cloud);
+  tc::testing::WireHarness replay_wire(&replay_cloud);
   options.transport = replay_wire.transport();
   fleet::FleetRunner replay_runner(&replay_cloud, options);
   auto replay_report = replay_runner.Run();
@@ -282,7 +282,7 @@ class CellChaosTest : public ::testing::Test {
     SKIP_IF_WIRE_LEG_IMPOSSIBLE();
     clock_.Set(MakeTimestamp(2013, 1, 7, 9, 0, 0));
     cloud_.set_fault_injector(&injector_);
-    wire_ = std::make_unique<rpc::WireHarness>(&cloud_);
+    wire_ = std::make_unique<tc::testing::WireHarness>(&cloud_);
   }
 
   std::unique_ptr<cell::TrustedCell> MakeCell(const std::string& id,
@@ -341,7 +341,7 @@ class CellChaosTest : public ::testing::Test {
   cell::CellDirectory directory_;
   // Declared last: the harness's server must stop dispatching onto cloud_
   // before cloud_ is destroyed.
-  std::unique_ptr<rpc::WireHarness> wire_;
+  std::unique_ptr<tc::testing::WireHarness> wire_;
 };
 
 TEST_F(CellChaosTest, PartitionedCellKeepsWorkingAndCatchesUp) {

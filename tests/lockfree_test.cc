@@ -23,6 +23,7 @@
 #include "tc/storage/page_transform.h"
 #include "tc/sync/epoch.h"
 #include "tc/testing/serialized_log_store.h"
+#include "tc/testing/stripe_locked_blob_store.h"
 
 namespace tc {
 namespace {
@@ -556,11 +557,14 @@ TEST(BlobStoreLockFreeTest, ByteAccountingExactAtQuiescence) {
 }
 
 // The stripe-locked baseline (bench_e17's comparator) must behave
-// identically on the read surface.
+// identically on the read surface: writes made and read through the
+// wrapper are what the lock-free store serves.
 TEST(BlobStoreLockFreeTest, MutexBaselineMatchesLockFreeSemantics) {
-  BlobStore store(4, BlobStore::kTokenHistory, /*lock_free_reads=*/false);
-  EXPECT_EQ(store.Put("a", Bytes{1, 2}), 1u);
-  EXPECT_EQ(store.Put("a", Bytes{3}), 2u);
+  BlobStore store(4, BlobStore::kTokenHistory);
+  tc::testing::StripeLockedBlobStore striped(&store);
+  EXPECT_EQ(striped.Put("a", Bytes{1, 2}), 1u);
+  EXPECT_EQ(striped.Put("a", Bytes{3}), 2u);
+  EXPECT_EQ(*striped.Get("a"), Bytes{3});
   EXPECT_EQ(*store.Get("a"), Bytes{3});
   EXPECT_EQ(*store.GetVersion("a", 1), (Bytes{1, 2}));
   EXPECT_EQ(*store.LatestVersion("a"), 2u);

@@ -29,11 +29,12 @@
 #include "tc/fleet/worker_pool.h"
 #include "tc/net/backoff.h"
 #include "tc/net/channel.h"
+#include "tc/obs/metrics.h"
 #include "tc/rpc/client.h"
 #include "tc/rpc/server.h"
 #include "tc/rpc/socket_transport.h"
 #include "tc/rpc/wire.h"
-#include "tc/rpc/wire_harness.h"
+#include "tc/testing/wire_harness.h"
 
 namespace tc {
 namespace {
@@ -46,7 +47,7 @@ using fleet::FleetReport;
 
 #define SKIP_IF_WIRE_LEG_IMPOSSIBLE()                           \
   do {                                                          \
-    if (const char* reason = rpc::WireHarness::SkipReason()) {  \
+    if (const char* reason = tc::testing::WireHarness::SkipReason()) {  \
       GTEST_SKIP() << reason;                                   \
     }                                                           \
   } while (false)
@@ -606,6 +607,57 @@ TEST_F(RpcOverloadSocketTest, EdgeRejectionPushesBackAndPingBypasses) {
   server.Shutdown();
 }
 
+// The process-wide rpc.server.requests counter (what perfbench's
+// rpc.requests_per_cell_op reads).
+uint64_t ServerRequestsCounter() {
+  return obs::MetricRegistry::Global()
+      .GetCounter("rpc.server.requests")
+      .Value();
+}
+
+TEST_F(RpcOverloadSocketTest, RequestCountIncludesAdmissionRefusals) {
+  // Stats::requests and the rpc.server.requests counter count the same
+  // thing: every frame whose header validated, refused ones included.
+  CloudInfrastructure cloud;
+  NetworkFaultConfig config;
+  config.slow_op_prob = 1.0;
+  config.slow_op_cpu_us = 50'000;
+  config.seed = 3;
+  NetworkFaultInjector injector(config);
+  cloud.set_fault_injector(&injector);
+
+  rpc::RpcServer::Options server_options;
+  server_options.worker_threads = 2;
+  server_options.admission = true;
+  server_options.admission_config.initial_limit = 1.0;
+  server_options.admission_config.min_limit = 1.0;
+  server_options.admission_config.max_limit = 1.0;
+  const uint64_t counter_before = ServerRequestsCounter();
+  rpc::RpcServer server(&cloud, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  {
+    rpc::SocketTransport saturator("127.0.0.1", server.port());
+    rpc::SocketTransport probe("127.0.0.1", server.port());
+    std::thread hog([&] {
+      (void)saturator.PutBlobBatch({{"hog/doc", Bytes{1}}}, {"tok/hog"});
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    bool refused = false;
+    for (int i = 0; i < 20 && !refused; ++i) {
+      auto got = probe.GetBlob("hog/doc", nullptr);
+      refused = !got.ok() && got.status().IsResourceExhausted();
+    }
+    hog.join();
+    EXPECT_TRUE(refused);
+  }
+  server.Shutdown();
+
+  const rpc::RpcServer::Stats stats = server.stats();
+  ASSERT_GE(stats.admission_rejected, 1u);
+  EXPECT_GE(stats.requests, stats.admission_rejected + 1);  // + the hog.
+  EXPECT_EQ(stats.requests, ServerRequestsCounter() - counter_before);
+}
+
 TEST_F(RpcOverloadSocketTest, QueuedRequestPastDeadlineIsShedNotExecuted) {
   CloudInfrastructure cloud;
   NetworkFaultConfig config;
@@ -617,6 +669,7 @@ TEST_F(RpcOverloadSocketTest, QueuedRequestPastDeadlineIsShedNotExecuted) {
 
   rpc::RpcServer::Options server_options;
   server_options.worker_threads = 1;  // Everything queues behind the hog.
+  const uint64_t counter_before = ServerRequestsCounter();
   rpc::RpcServer server(&cloud, server_options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -651,6 +704,8 @@ TEST_F(RpcOverloadSocketTest, QueuedRequestPastDeadlineIsShedNotExecuted) {
   // Shed before execute: the victim's write never reached the store.
   EXPECT_TRUE(cloud.GetBlob("victim/doc").status().IsNotFound());
   server.Shutdown();
+  // The shed request still counts as a request, in the stat and the counter.
+  EXPECT_EQ(server.stats().requests, ServerRequestsCounter() - counter_before);
 }
 
 // ---------------------------------------------------------------------------
@@ -673,7 +728,7 @@ TEST(OverloadChaosTest, FleetSurvivesOverloadWithFullPlaneOn) {
   cloud.set_fault_injector(&injector);
   AdmissionController admission;  // Default gradient config.
   cloud.set_admission_controller(&admission);
-  rpc::WireHarness wire(&cloud);
+  tc::testing::WireHarness wire(&cloud);
 
   FleetOptions options;
   options.cells = 16;
@@ -742,7 +797,7 @@ TEST(OverloadChaosTest, ShedTxnsStayExactlyOnceUnderAdmissionPressure) {
   tight.max_limit = 2.0;
   AdmissionController admission(tight);
   cloud.set_admission_controller(&admission);
-  rpc::WireHarness wire(&cloud);
+  tc::testing::WireHarness wire(&cloud);
 
   FleetOptions options;
   options.cells = 8;

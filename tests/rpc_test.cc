@@ -38,7 +38,7 @@
 #include "tc/rpc/server.h"
 #include "tc/rpc/socket_transport.h"
 #include "tc/rpc/wire.h"
-#include "tc/rpc/wire_harness.h"
+#include "tc/testing/wire_harness.h"
 
 namespace tc::rpc {
 namespace {
@@ -1259,12 +1259,12 @@ TEST_F(RpcSocketTest, WarmedPoolSurvivesServerRestartWithoutColdConnect) {
   pool_options.host = "127.0.0.1";
   pool_options.port = port;
   pool_options.connections = 2;
-  pool_options.warmup = true;
   pool_options.reconnect_interval_ms = 20;
   pool_options.request_timeout_ms = 2000;
   RpcClientPool pool(pool_options);
+  pool.Warmup();
 
-  // Warmup ran in the constructor: every connection is already healthy.
+  // Warmup ran before the first call: every connection is already healthy.
   EXPECT_EQ(pool.connected_count(), pool.connection_count());
   auto ping = pool.Call(RpcOp::kPing, Bytes());
   ASSERT_TRUE(ping.ok()) << ping.status().ToString();
@@ -1398,12 +1398,12 @@ TEST_F(RpcSocketTest, FleetChaosSweepOverRealSocketsLosesNoAckedWrite) {
 // ---------------------------------------------------------------------------
 
 TEST(WireHarnessTest, InertWithoutEnvToggle) {
-  if (WireHarness::SocketRequested()) {
+  if (tc::testing::WireHarness::SocketRequested()) {
     GTEST_SKIP() << "TC_TRANSPORT=socket is set; inertness test not "
                     "applicable in the wire leg";
   }
   CloudInfrastructure cloud;
-  WireHarness harness(&cloud);
+  tc::testing::WireHarness harness(&cloud);
   EXPECT_EQ(harness.transport(), nullptr);
   EXPECT_EQ(harness.server(), nullptr);
 }

@@ -28,7 +28,7 @@
 #include "tc/obs/flight_recorder.h"
 #include "tc/obs/metrics.h"
 #include "tc/obs/telemetry.h"
-#include "tc/rpc/wire_harness.h"
+#include "tc/testing/wire_harness.h"
 
 namespace tc {
 namespace {
@@ -54,7 +54,7 @@ using obs::TelemetryShipper;
 
 #define SKIP_IF_WIRE_LEG_IMPOSSIBLE()                           \
   do {                                                          \
-    if (const char* reason = rpc::WireHarness::SkipReason()) {  \
+    if (const char* reason = tc::testing::WireHarness::SkipReason()) {  \
       GTEST_SKIP() << reason;                                   \
     }                                                           \
   } while (false)
@@ -573,7 +573,7 @@ void RunTelemetryChaos(size_t cells, double rate, uint64_t seed) {
   config.delay_prob = rate;
   NetworkFaultInjector injector(config);
   cloud.set_fault_injector(&injector);
-  rpc::WireHarness wire(&cloud);
+  tc::testing::WireHarness wire(&cloud);
 
   MetricRegistry ground_truth;
   FleetOptions options;
@@ -670,7 +670,7 @@ TEST(TelemetryChaosTest, CleanWireShipsEverythingOnce) {
   // No injector: every frame applies first try; dedup never engages.
   SKIP_IF_WIRE_LEG_IMPOSSIBLE();
   CloudInfrastructure cloud;
-  rpc::WireHarness wire(&cloud);
+  tc::testing::WireHarness wire(&cloud);
   MetricRegistry ground_truth;
   FleetOptions options;
   options.cells = 8;

@@ -9,9 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "tc/cloud/infrastructure.h"
-#include "tc/fleet/cell_fleet.h"
 #include "tc/obs/exporter.h"
 #include "tc/obs/trace.h"
+#include "tc/testing/cell_fleet.h"
 
 namespace tc {
 namespace {
@@ -63,11 +63,11 @@ TEST(TraceContextTest, ChildOnlySpansAreInertWithoutAContext) {
 TEST(TraceTreeTest, PutBatchYieldsOneConnectedTreeAcrossAllFourLayers) {
   obs::TraceRing::Global().Clear();
   cloud::CloudInfrastructure cloud;
-  fleet::CellFleetOptions options;
+  tc::testing::CellFleetOptions options;
   options.cells = 3;
   options.threads = 2;
   options.docs_per_cell = 2;
-  fleet::CellFleet driver(&cloud, options);
+  tc::testing::CellFleet driver(&cloud, options);
   auto report = driver.PutBatch();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->cells_ok, options.cells);
@@ -124,11 +124,11 @@ TEST(TraceTreeTest, PutBatchYieldsOneConnectedTreeAcrossAllFourLayers) {
 TEST(TraceTreeTest, ChromeTraceExportCarriesTheBatch) {
   obs::TraceRing::Global().Clear();
   cloud::CloudInfrastructure cloud;
-  fleet::CellFleetOptions options;
+  tc::testing::CellFleetOptions options;
   options.cells = 2;
   options.threads = 2;
   options.docs_per_cell = 1;
-  fleet::CellFleet driver(&cloud, options);
+  tc::testing::CellFleet driver(&cloud, options);
   auto report = driver.PutBatch();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 

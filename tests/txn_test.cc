@@ -19,11 +19,11 @@
 #include "tc/fleet/fleet.h"
 #include "tc/net/channel.h"
 #include "tc/net/outbox.h"
-#include "tc/rpc/wire_harness.h"
 #include "tc/storage/log_store.h"
 #include "tc/storage/page_transform.h"
 #include "tc/testing/fault_injection.h"
 #include "tc/testing/history_checker.h"
+#include "tc/testing/wire_harness.h"
 
 namespace tc {
 namespace {
@@ -49,7 +49,7 @@ TxnRequest MakeTxn(const std::string& token, const SnapshotDescriptor& snap) {
 // leg to put behind a socket.
 #define SKIP_IF_WIRE_LEG_IMPOSSIBLE()                           \
   do {                                                          \
-    if (const char* reason = rpc::WireHarness::SkipReason()) {  \
+    if (const char* reason = tc::testing::WireHarness::SkipReason()) {  \
       GTEST_SKIP() << reason;                                   \
     }                                                           \
   } while (false)
@@ -57,7 +57,7 @@ TxnRequest MakeTxn(const std::string& token, const SnapshotDescriptor& snap) {
 /// Builds a channel on the harness's socket transport when the wire leg is
 /// active, on the direct in-process path otherwise.
 std::unique_ptr<net::ResilientChannel> MakeChannel(
-    cloud::CloudInfrastructure* cloud, rpc::WireHarness& wire,
+    cloud::CloudInfrastructure* cloud, tc::testing::WireHarness& wire,
     const std::string& peer, const net::ChannelOptions& options = {}) {
   if (wire.transport() != nullptr) {
     return std::make_unique<net::ResilientChannel>(wire.transport(), peer,
@@ -406,7 +406,7 @@ TEST(ChannelTxnTest, LossyNetworkCommitsExactlyOncePerToken) {
   config.seed = 42;
   cloud::NetworkFaultInjector injector(config);
   cloud.set_fault_injector(&injector);
-  rpc::WireHarness wire(&cloud);
+  tc::testing::WireHarness wire(&cloud);
 
   net::ChannelOptions options;
   options.op_deadline_us = 2000000;  // Generous: resolve every commit.
@@ -467,7 +467,7 @@ TEST(ChannelTxnTest, AbortIsDefinitiveAndDoesNotTripBreaker) {
   cloud::CloudInfrastructure cloud;
   ASSERT_TRUE(
       cloud.PutBlobBatchRpc({{"k", ToBytes("v1")}}, {"w/1"}).status.ok());
-  rpc::WireHarness wire(&cloud);
+  tc::testing::WireHarness wire(&cloud);
   auto channel_ptr = MakeChannel(&cloud, wire, "cell-1");
   net::ResilientChannel& channel = *channel_ptr;
 
@@ -502,7 +502,7 @@ class CellTxnTest : public ::testing::Test {
     SKIP_IF_WIRE_LEG_IMPOSSIBLE();
     clock_.Set(MakeTimestamp(2013, 1, 7, 9, 0, 0));
     cloud_.set_fault_injector(&injector_);
-    wire_ = std::make_unique<rpc::WireHarness>(&cloud_);
+    wire_ = std::make_unique<tc::testing::WireHarness>(&cloud_);
   }
 
   std::unique_ptr<cell::TrustedCell> MakeCell(const std::string& id,
@@ -549,7 +549,7 @@ class CellTxnTest : public ::testing::Test {
   cell::CellDirectory directory_;
   // Declared last: the harness's server must stop dispatching onto cloud_
   // before cloud_ is destroyed.
-  std::unique_ptr<rpc::WireHarness> wire_;
+  std::unique_ptr<tc::testing::WireHarness> wire_;
 };
 
 TEST_F(CellTxnTest, AtomicUpdatePublishesDataAndManifestTogether) {
@@ -715,7 +715,7 @@ TEST_F(CellTxnTest, PartitionedAtomicUpdateJournalsWholeTxnAndDrains) {
 TEST(FleetTxnTest, ContendedCountersCommitExactlyAndSerializably) {
   SKIP_IF_WIRE_LEG_IMPOSSIBLE();
   cloud::CloudInfrastructure cloud;
-  rpc::WireHarness wire(&cloud);
+  tc::testing::WireHarness wire(&cloud);
   tc::testing::HistoryChecker checker;
 
   fleet::FleetOptions options;
